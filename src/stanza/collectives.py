@@ -20,8 +20,15 @@ before the upper-rank block. Every member therefore computes the bit-identical
 aligned binary tree sum for a given surplus selection; changing the selection
 seed permutes the fold and moves the result only at float32 rounding level.
 
-Every collective has a *counted* twin that moves size-only messages through
-the identical schedule, for byte-accounted runs on count profiles.
+The schedule is written once, in _rounds: per round, the transfers
+(src, dst, fold) of the surplus, doubling and return rounds. Two executors
+walk it. allreduce_group runs the whole group on the calling thread: each
+round sends all of its transfers, then delivers them in schedule order. The
+runtimes use it. allreduce_sum (float32 payloads) and allreduce_counted
+(size-only messages for count profiles) run one member's share of the same
+rounds and are called once per member, each on its own thread. Both
+executors produce the same messages, ledger and bits. gather and scatter,
+and their size-only versions, are per-member helpers that no runtime calls.
 """
 
 from __future__ import annotations
@@ -100,18 +107,101 @@ def surplus_protocol(group: Group, seed: int = 0):
     return surplus, core, donors
 
 
-def _schedule(group: Group, seed: int):
-    """(core members in group order, surplus tuple, donor map, doubling rounds)."""
+def _rounds(group: Group, seed: int):
+    """The allreduce schedule: (round label, transfers) in execution order.
+
+    A transfer (src, dst, fold) ships src's current value to dst. With fold
+    set, dst adds it to its own value, lower group index first; otherwise
+    dst replaces its value with it. Labels are 0 for the surplus round, 1..m
+    for the doubling rounds and m + 1 for the return round; a power-of-two
+    group has only the doubling rounds, a group of one has none.
+    """
     n = len(group)
     m = n.bit_length() - 1
     if n == (1 << m):
-        return group.members, (), {}, m
-    surplus, core, donors = surplus_protocol(group, seed)
-    return core, surplus, donors, m
+        core, donors = group.members, {}
+    else:
+        _, core, donors = surplus_protocol(group, seed)
+    rounds = []
+    if donors:
+        rounds.append((0, [(s, d, True) for s, d in donors.items()]))
+    for r in range(m):
+        rounds.append((r + 1, [(node, core[rank ^ (1 << r)], True)
+                               for rank, node in enumerate(core)]))
+    if donors:
+        rounds.append((m + 1, [(d, s, False) for s, d in donors.items()]))
+    return rounds
 
 
-def _fold(a: np.ndarray, b: np.ndarray, a_first: bool) -> np.ndarray:
-    return a + b if a_first else b + a
+def _value(value):
+    """A member's contribution: an element count for a size-only run, else
+    a float32 array."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return np.ascontiguousarray(value, dtype=np.float32)
+
+
+def _transfer(src: NodeId, dst: NodeId, value, op: str, rnd: int):
+    if isinstance(value, int):
+        return counted_message(src, dst, Tag.ALLREDUCE_CHUNK, value, op=op,
+                               round=rnd)
+    return tensor_message(src, dst, Tag.ALLREDUCE_CHUNK, value, op=op,
+                          round=rnd)
+
+
+def _deliver(transport: SimTransport, group: Group, dst: NodeId,
+             src: NodeId, value, fold: bool, timeout: float | None):
+    """Receive src's transfer at dst and return dst's new value."""
+    try:
+        msg = transport.recv(dst, tag=Tag.ALLREDUCE_CHUNK, src=src,
+                             timeout=timeout)
+    except Timeout as exc:
+        raise MemberMissing(f"{dst} got no allreduce transfer from {src}: "
+                            f"{exc}") from exc
+    if isinstance(value, int):
+        return value
+    got = msg.tensor().reshape(value.shape)
+    if not fold:
+        return got
+    return value + got if group.index(dst) < group.index(src) else got + value
+
+
+def _result(value):
+    return value.copy() if isinstance(value, np.ndarray) else None
+
+
+def allreduce_group(transport: SimTransport, group: Group, values: dict, *,
+                    seed: int = 0, op: str = "allreduce") -> dict:
+    """Run the allreduce for every member of the group on the calling thread.
+
+    values maps each member to its float32 array, or to its element count
+    for a size-only run. Each round sends all of its transfers, then
+    delivers them in schedule order, so nothing waits: a transfer that
+    never arrived raises MemberMissing at once. Returns member -> summed
+    array (None on a size-only run), bit-identical to allreduce_sum.
+    """
+    acc = {member: _value(values[member]) for member in group.members}
+    for rnd, transfers in _rounds(group, seed):
+        for src, dst, _ in transfers:
+            transport.send(_transfer(src, dst, acc[src], op, rnd))
+        for src, dst, fold in transfers:
+            acc[dst] = _deliver(transport, group, dst, src, acc[dst], fold,
+                                timeout=0)
+    return {member: _result(v) for member, v in acc.items()}
+
+
+def _allreduce_member(transport: SimTransport, group: Group, me: NodeId,
+                      value, seed: int, op: str, timeout: float | None):
+    """One member's part of the schedule, for a thread per member."""
+    for rnd, transfers in _rounds(group, seed):
+        for src, dst, _ in transfers:
+            if src == me:
+                transport.send(_transfer(me, dst, value, op, rnd))
+        for src, dst, fold in transfers:
+            if dst == me:
+                value = _deliver(transport, group, me, src, value, fold,
+                                 timeout)
+    return _result(value)
 
 
 def allreduce_sum(transport: SimTransport, group: Group, me: NodeId,
@@ -119,72 +209,21 @@ def allreduce_sum(transport: SimTransport, group: Group, me: NodeId,
                   timeout: float | None = None) -> np.ndarray:
     """Sum `value` across the group; every member returns the identical array.
 
-    Must be called collectively by every member. Any member arrival order is
-    deadlock-free: each round sends before it receives and the transport
-    buffers. Rounds are labeled on the ledger under `op` for round counting.
+    Must be called collectively by every member, each on its own thread.
+    Any member arrival order is deadlock-free: each round sends before it
+    receives and the transport buffers. Rounds are labeled on the ledger
+    under `op` for round counting.
     """
-    value = np.ascontiguousarray(value, dtype=np.float32)
-    n = len(group)
-    if n == 1:
-        return value.copy()
-    core, surplus, donors, m = _schedule(group, seed)
-    tag = Tag.ALLREDUCE_CHUNK
-
-    if me in surplus:
-        donor = donors[me]
-        transport.send(tensor_message(me, donor, tag, value, op=op, round=0))
-        final = transport.recv(me, tag=tag, src=donor, timeout=timeout)
-        return final.tensor().reshape(value.shape).copy()
-
-    acc = value
-    my_surplus = next((s for s, d in donors.items() if d == me), None)
-    if my_surplus is not None:
-        msg = transport.recv(me, tag=tag, src=my_surplus, timeout=timeout)
-        acc = _fold(acc, msg.tensor().reshape(acc.shape),
-                    a_first=group.index(me) < group.index(my_surplus))
-
-    rank = core.index(me)
-    for r in range(m):
-        partner_rank = rank ^ (1 << r)
-        partner = core[partner_rank]
-        transport.send(tensor_message(me, partner, tag, acc, op=op, round=r + 1))
-        msg = transport.recv(me, tag=tag, src=partner, timeout=timeout)
-        acc = _fold(acc, msg.tensor().reshape(acc.shape),
-                    a_first=rank < partner_rank)
-
-    if my_surplus is not None:
-        transport.send(tensor_message(me, my_surplus, tag, acc, op=op, round=m + 1))
-    return acc.copy()
+    return _allreduce_member(transport, group, me,
+                             np.ascontiguousarray(value, dtype=np.float32),
+                             seed, op, timeout)
 
 
 def allreduce_counted(transport: SimTransport, group: Group, me: NodeId,
                       elements: int, *, seed: int = 0, op: str = "allreduce",
                       timeout: float | None = None) -> None:
-    """Size-only twin of allreduce_sum: identical message schedule, no math."""
-    n = len(group)
-    if n == 1:
-        return
-    core, surplus, donors, m = _schedule(group, seed)
-    tag = Tag.ALLREDUCE_CHUNK
-
-    if me in surplus:
-        donor = donors[me]
-        transport.send(counted_message(me, donor, tag, elements, op=op, round=0))
-        transport.recv(me, tag=tag, src=donor, timeout=timeout)
-        return
-
-    my_surplus = next((s for s, d in donors.items() if d == me), None)
-    if my_surplus is not None:
-        transport.recv(me, tag=tag, src=my_surplus, timeout=timeout)
-
-    rank = core.index(me)
-    for r in range(m):
-        partner = core[rank ^ (1 << r)]
-        transport.send(counted_message(me, partner, tag, elements, op=op, round=r + 1))
-        transport.recv(me, tag=tag, src=partner, timeout=timeout)
-
-    if my_surplus is not None:
-        transport.send(counted_message(me, my_surplus, tag, elements, op=op, round=m + 1))
+    """Size-only allreduce_sum: the same transfers, no payload and no math."""
+    _allreduce_member(transport, group, me, int(elements), seed, op, timeout)
 
 
 def gather(transport: SimTransport, group: Group, root: NodeId, me: NodeId,

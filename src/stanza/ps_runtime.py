@@ -6,6 +6,9 @@ tensor to the owning servers, the servers aggregate in ascending worker
 order and apply one momentum-SGD step, and the workers pull the updated
 tensors back. All phases are bulk synchronous, so the ledger clock
 charges each phase at its slowest node.
+
+Push and pull run on the calling thread: every sender's messages first,
+then every receiver's, in node order.
 """
 
 from __future__ import annotations
@@ -21,7 +24,11 @@ from .tensor_core import (OptimizerState, ShapeMismatch, block_backward,
                           param_index_pairs, param_shapes, rebuild_params,
                           seeded_init, sgd_step)
 from .transport import (NetConfig, NodeId, Role, SimTransport, Tag,
-                        counted_message, run_node_threads, tensor_message)
+                        counted_message, tensor_message)
+
+
+class PushOutOfOrder(RuntimeError):
+    """A server received a worker's gradient pushes out of sending order."""
 
 
 def equal_split(total: int, parts: int) -> list[int]:
@@ -172,33 +179,25 @@ class PsCluster:
 
     def _push_phase(self, it: int, grads) -> dict:
         tr = self.transport
-        tr.begin_phase("push")
-
-        def worker_task(w):
-            def run():
+        with tr.phase("push"):
+            for w in self.worker_ids:
                 for tid, g in enumerate(grads[w]):
                     dst = self.server_ids[self.shard_map.owner[tid]]
                     tr.send(tensor_message(w, dst, Tag.GRAD_PUSH, g,
                                            iteration=it, op="push", round=tid))
-            return run
-
-        def server_task(s, s_idx):
-            def run():
+            pushes = {}
+            for s_idx, s in enumerate(self.server_ids):
                 stash = {}
                 for w_idx, w in enumerate(self.worker_ids):
                     for tid in self._owned[s_idx]:
-                        msg = tr.recv(s, tag=Tag.GRAD_PUSH, src=w)
-                        assert msg.round == tid, "pushes arrived out of order"
-                        stash[(w_idx, msg.round)] = msg.tensor()
-                return stash
-            return run
-
-        tasks = {w: worker_task(w) for w in self.worker_ids}
-        tasks.update({s: server_task(s, i)
-                      for i, s in enumerate(self.server_ids)})
-        results = run_node_threads(tr, tasks)
-        tr.end_phase()
-        return results
+                        msg = tr.recv(s, tag=Tag.GRAD_PUSH, src=w, timeout=0)
+                        if msg.round != tid:
+                            raise PushOutOfOrder(
+                                f"{s} expected tensor {tid} from {w}, got "
+                                f"{msg.round}")
+                        stash[(w_idx, tid)] = msg.tensor()
+                pushes[s] = stash
+            return pushes
 
     def _update_phase(self, pushes) -> None:
         tr = self.transport
@@ -219,35 +218,22 @@ class PsCluster:
     def _pull_phase(self, it: int) -> None:
         tr = self.transport
         n_tensors = len(self._pairs)
-
-        def server_task(s, s_idx):
-            def run():
+        with tr.phase("pull"):
+            for s_idx, s in enumerate(self.server_ids):
                 for w in self.worker_ids:
                     for pos, tid in enumerate(self._owned[s_idx]):
                         tr.send(tensor_message(
                             s, w, Tag.PARAM_PULL,
                             self._shard_params[s_idx][pos][0],
                             iteration=it, op="pull", round=tid))
-            return run
-
-        def worker_task(w):
-            def run():
+            for w in self.worker_ids:
                 flat = [None] * n_tensors
                 for tid in range(n_tensors):
                     src = self.server_ids[self.shard_map.owner[tid]]
-                    msg = tr.recv(w, tag=Tag.PARAM_PULL, src=src)
+                    msg = tr.recv(w, tag=Tag.PARAM_PULL, src=src, timeout=0)
                     flat[msg.round] = msg.tensor().copy()
-                return flat
-            return run
-
-        tr.begin_phase("pull")
-        tasks = {s: server_task(s, i) for i, s in enumerate(self.server_ids)}
-        tasks.update({w: worker_task(w) for w in self.worker_ids})
-        results = run_node_threads(tr, tasks)
-        tr.end_phase()
-        for w in self.worker_ids:
-            self.worker_params[w] = rebuild_params(results[w], self._pairs,
-                                             len(self.layers))
+                self.worker_params[w] = rebuild_params(flat, self._pairs,
+                                                       len(self.layers))
 
     def train(self, iterations: int) -> PsResult:
         """Run `iterations` more iterations; may be called repeatedly."""
@@ -292,46 +278,26 @@ def ps_traffic(spec: ModelSpec, *, n_workers: int, n_servers: int,
     tr.register_all(workers + servers)
     live = [s for s in range(n_servers) if shard_elems[s] > 0]
 
-    def push_worker(w):
-        def run():
-            for s in live:
-                tr.send(counted_message(w, servers[s], Tag.GRAD_PUSH,
-                                        shard_elems[s], iteration=it,
-                                        op="push"))
-        return run
-
-    def push_server(s):
-        def run():
-            for w in workers:
-                tr.recv(servers[s], tag=Tag.GRAD_PUSH, src=w)
-        return run
-
-    def pull_server(s):
-        def run():
-            for w in workers:
-                tr.send(counted_message(servers[s], w, Tag.PARAM_PULL,
-                                        shard_elems[s], iteration=it,
-                                        op="pull"))
-        return run
-
-    def pull_worker(w):
-        def run():
-            for _ in live:
-                tr.recv(w, tag=Tag.PARAM_PULL)
-        return run
-
     for it in range(iterations):
         tr.advance_compute(compute_time, "compute")
-        tr.begin_phase("push")
-        tasks = {w: push_worker(w) for w in workers}
-        tasks.update({servers[s]: push_server(s) for s in live})
-        run_node_threads(tr, tasks)
-        tr.end_phase()
+        with tr.phase("push"):
+            for w in workers:
+                for s in live:
+                    tr.send(counted_message(w, servers[s], Tag.GRAD_PUSH,
+                                            shard_elems[s], iteration=it,
+                                            op="push"))
+            for s in live:
+                for w in workers:
+                    tr.recv(servers[s], tag=Tag.GRAD_PUSH, src=w, timeout=0)
         tr.begin_phase("update")
         tr.end_phase()
-        tr.begin_phase("pull")
-        tasks = {servers[s]: pull_server(s) for s in live}
-        tasks.update({w: pull_worker(w) for w in workers})
-        run_node_threads(tr, tasks)
-        tr.end_phase()
+        with tr.phase("pull"):
+            for s in live:
+                for w in workers:
+                    tr.send(counted_message(servers[s], w, Tag.PARAM_PULL,
+                                            shard_elems[s], iteration=it,
+                                            op="pull"))
+            for w in workers:
+                for _ in live:
+                    tr.recv(w, tag=Tag.PARAM_PULL, timeout=0)
     return tr

@@ -12,6 +12,15 @@ Compute is charged to the clock as lump constants (conv_time per iteration,
 fc_unit_time per served CONV batch); the numeric math runs regardless and
 takes no simulated time of its own. The two allreduces share one exchange
 phase, so the clock charges max(conv window, fc window), never the sum.
+
+Every phase runs on the calling thread. The sending nodes' steps run first,
+then the receiving nodes' steps in node order; each receive takes an already
+queued message, so a message that was never sent raises MissingSource at
+once. The exchange walks the one allreduce schedule in collectives through
+allreduce_group, for both groups, in StanzaCluster with float32 payloads and
+in stanza_traffic with size-only messages. Host threads never change what is
+simulated: messages, link sequences, phase loads and folds are fixed by the
+schedule.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpointing import TrainState, state_to_bytes
-from .collectives import Group, allreduce_counted, allreduce_sum
+from .collectives import Group, allreduce_group
 from .model_partition import (ConfigError, ModelSpec, Partition, mlp_split,
                               split)
 from .ps_runtime import equal_split
@@ -30,8 +39,7 @@ from .tensor_core import (OptimizerState, ShapeMismatch, block_backward,
                           block_forward, check_same_structure, pack_vector,
                           seeded_init, sgd_step, unpack_vector)
 from .transport import (Message, NetConfig, NodeId, Role, SimTransport, Tag,
-                        Timeout, counted_message, run_node_threads,
-                        tensor_message)
+                        Timeout, counted_message, tensor_message)
 
 
 class MissingSource(Timeout):
@@ -59,6 +67,16 @@ def plan_groups(n_conv: int, n_fc: int) -> list[int]:
 def _allreduce_seed(seed: int, iteration: int) -> int:
     # one surplus-selection draw per iteration, derived from the run seed
     return seed * 1_000_003 + iteration
+
+
+def _receive(transport: SimTransport, dst: NodeId, tag: Tag, src: NodeId,
+             iteration: int) -> Message:
+    """The queued message for dst from src; MissingSource if none was sent."""
+    try:
+        return transport.recv(dst, tag=tag, src=src, timeout=0)
+    except Timeout as exc:
+        raise MissingSource(f"{dst} got no {tag.value} from {src} at "
+                            f"iteration {iteration}") from exc
 
 
 def collect_group_activations(transport: SimTransport, fc: NodeId,
@@ -194,20 +212,13 @@ class StanzaCluster:
             random.Random((self.seed << 32)
                           ^ self.iteration).randrange(self.n_conv)]
         tr = self.transport
-        tr.begin_phase("checkpoint")
-
-        def send_task():
+        with tr.phase("checkpoint"):
             tr.send(Message(src=f0, dst=holder, tag=Tag.CHECKPOINT,
                             payload_elements=(len(blob) + 3) // 4,
                             payload=blob, iteration=self.iteration,
                             op="checkpoint"))
-
-        def recv_task():
-            return tr.recv(holder, tag=Tag.CHECKPOINT, src=f0).payload
-
-        results = run_node_threads(tr, {f0: send_task, holder: recv_task})
-        tr.end_phase()
-        self.replica_snapshots[holder] = results[holder]
+            msg = _receive(tr, holder, Tag.CHECKPOINT, f0, self.iteration)
+        self.replica_snapshots[holder] = msg.payload
         return self.state()
 
     # -- one iteration ------------------------------------------------------
@@ -227,30 +238,19 @@ class StanzaCluster:
 
     def _activations_phase(self, it: int, acts, labels):
         tr = self.transport
-
-        def conv_task(i, c):
-            def run():
+        with tr.phase("activations"):
+            for i, c in enumerate(self.conv_ids):
                 dst = self.fc_ids[self.conv_to_fc[i]]
                 tr.send(tensor_message(c, dst, Tag.ACTIVATIONS, acts[c],
                                        iteration=it, op="activations"))
-                tr.send(tensor_message(
-                    c, dst, Tag.CONTROL,
-                    np.asarray(labels[c], dtype=np.float32),
-                    iteration=it, op="labels"))
-            return run
-
-        def fc_task(j, f):
-            def run():
-                sources = [self.conv_ids[i] for i in self.group_members(j)]
-                return collect_group_activations(tr, f, sources, it)
-            return run
-
-        tr.begin_phase("activations")
-        tasks = {c: conv_task(i, c) for i, c in enumerate(self.conv_ids)}
-        tasks.update({f: fc_task(j, f) for j, f in enumerate(self.fc_ids)})
-        results = run_node_threads(tr, tasks)
-        tr.end_phase()
-        return {f: results[f] for f in self.fc_ids}
+                tr.send(tensor_message(c, dst, Tag.CONTROL,
+                                       np.asarray(labels[c], dtype=np.float32),
+                                       iteration=it, op="labels"))
+            return {
+                f: collect_group_activations(
+                    tr, f, [self.conv_ids[i] for i in self.group_members(j)],
+                    it, timeout=0)
+                for j, f in enumerate(self.fc_ids)}
 
     def _fc_step(self, gathered):
         """Back-block forward/backward per FC worker over its group's batch.
@@ -277,65 +277,32 @@ class StanzaCluster:
 
     def _boundary_phase(self, it: int, boundary):
         tr = self.transport
-
-        def fc_task(j, f):
-            def run():
+        with tr.phase("boundary"):
+            for j, f in enumerate(self.fc_ids):
                 for i in self.group_members(j):
                     c = self.conv_ids[i]
                     tr.send(tensor_message(f, c, Tag.BOUNDARY_GRADS,
                                            boundary[c], iteration=it,
                                            op="boundary"))
-            return run
-
-        def conv_task(i, c):
-            def run():
-                src = self.fc_ids[self.conv_to_fc[i]]
-                try:
-                    msg = tr.recv(c, tag=Tag.BOUNDARY_GRADS, src=src)
-                except Timeout as exc:
-                    raise MissingSource(
-                        f"no boundary gradients from {src} at iteration "
-                        f"{it}") from exc
-                return msg.tensor()
-            return run
-
-        tr.begin_phase("boundary")
-        tasks = {f: fc_task(j, f) for j, f in enumerate(self.fc_ids)}
-        tasks.update({c: conv_task(i, c) for i, c in enumerate(self.conv_ids)})
-        results = run_node_threads(tr, tasks)
-        tr.end_phase()
-        return {c: results[c] for c in self.conv_ids}
+            return {
+                c: _receive(tr, c, Tag.BOUNDARY_GRADS,
+                            self.fc_ids[self.conv_to_fc[i]], it).tensor()
+                for i, c in enumerate(self.conv_ids)}
 
     def _exchange_phase(self, it: int, conv_grads, fc_grads):
         """Both groups allreduce their block gradients in one overlapped phase."""
         tr = self.transport
         ar_seed = _allreduce_seed(self.seed, it)
-        tasks = {}
-
-        def conv_task(c):
-            return lambda: allreduce_sum(tr, self.conv_group, c,
-                                         pack_vector(conv_grads[c]),
-                                         seed=ar_seed, op="conv_allreduce")
-
-        def fc_task(f):
-            return lambda: allreduce_sum(tr, self.fc_group, f,
-                                         pack_vector(fc_grads[f]),
-                                         seed=ar_seed, op="fc_allreduce")
-
-        for c in self.conv_ids:
-            tasks[c] = conv_task(c)
-        if self.n_fc > 1:
-            for f in self.fc_ids:
-                tasks[f] = fc_task(f)
-        tr.begin_phase("exchange")
-        results = run_node_threads(tr, tasks)
-        tr.end_phase()
-        conv_sums = {c: results[c] for c in self.conv_ids}
-        if self.n_fc > 1:
-            fc_sums = {f: results[f] for f in self.fc_ids}
-        else:
-            fc_sums = {self.fc_ids[0]: pack_vector(fc_grads[self.fc_ids[0]])}
-        return conv_sums, fc_sums
+        with tr.phase("exchange"):
+            conv_sums = allreduce_group(
+                tr, self.conv_group,
+                {c: pack_vector(conv_grads[c]) for c in self.conv_ids},
+                seed=ar_seed, op="conv_allreduce")
+            fc_sums = allreduce_group(
+                tr, self.fc_group,
+                {f: pack_vector(fc_grads[f]) for f in self.fc_ids},
+                seed=ar_seed, op="fc_allreduce")
+            return conv_sums, fc_sums
 
     def _update_phase(self, conv_sums, fc_sums):
         tr = self.transport
@@ -397,65 +364,35 @@ def stanza_traffic(spec: ModelSpec, *, n_conv: int, n_fc: int,
     tr.register_all(conv_ids + fc_ids)
     conv_group = Group(tuple(conv_ids))
     fc_group = Group(tuple(fc_ids))
-
-    def conv_send(i, c):
-        def run():
-            tr.send(counted_message(c, fc_ids[conv_to_fc[i]], Tag.ACTIVATIONS,
-                                    a_k, iteration=it, op="activations"))
-        return run
-
-    def fc_recv(j, f):
-        def run():
-            for i in range(n_conv):
-                if conv_to_fc[i] == j:
-                    tr.recv(f, tag=Tag.ACTIVATIONS, src=conv_ids[i])
-        return run
-
-    def fc_send(j, f):
-        def run():
-            for i in range(n_conv):
-                if conv_to_fc[i] == j:
-                    tr.send(counted_message(f, conv_ids[i],
-                                            Tag.BOUNDARY_GRADS, a_k,
-                                            iteration=it, op="boundary"))
-        return run
-
-    def conv_recv(i, c):
-        def run():
-            tr.recv(c, tag=Tag.BOUNDARY_GRADS, src=fc_ids[conv_to_fc[i]])
-        return run
-
-    def conv_exchange(c):
-        return lambda: allreduce_counted(tr, conv_group, c,
-                                         partition.conv_params,
-                                         seed=_allreduce_seed(seed, it),
-                                         op="conv_allreduce")
-
-    def fc_exchange(f):
-        return lambda: allreduce_counted(tr, fc_group, f,
-                                         partition.fc_params,
-                                         seed=_allreduce_seed(seed, it),
-                                         op="fc_allreduce")
+    served = [[conv_ids[i] for i in range(n_conv) if conv_to_fc[i] == j]
+              for j in range(n_fc)]
 
     for it in range(iterations):
         tr.advance_compute(conv_time, "conv_compute")
-        tr.begin_phase("activations")
-        tasks = {c: conv_send(i, c) for i, c in enumerate(conv_ids)}
-        tasks.update({f: fc_recv(j, f) for j, f in enumerate(fc_ids)})
-        run_node_threads(tr, tasks)
-        tr.end_phase()
+        with tr.phase("activations"):
+            for i, c in enumerate(conv_ids):
+                tr.send(counted_message(c, fc_ids[conv_to_fc[i]],
+                                        Tag.ACTIVATIONS, a_k, iteration=it,
+                                        op="activations"))
+            for f, sources in zip(fc_ids, served):
+                for c in sources:
+                    _receive(tr, f, Tag.ACTIVATIONS, c, it)
         tr.advance_compute(max_group * fc_unit_time, "fc_compute")
-        tr.begin_phase("boundary")
-        tasks = {f: fc_send(j, f) for j, f in enumerate(fc_ids)}
-        tasks.update({c: conv_recv(i, c) for i, c in enumerate(conv_ids)})
-        run_node_threads(tr, tasks)
-        tr.end_phase()
-        tr.begin_phase("exchange")
-        tasks = {c: conv_exchange(c) for c in conv_ids}
-        if n_fc > 1:
-            tasks.update({f: fc_exchange(f) for f in fc_ids})
-        run_node_threads(tr, tasks)
-        tr.end_phase()
+        with tr.phase("boundary"):
+            for f, sources in zip(fc_ids, served):
+                for c in sources:
+                    tr.send(counted_message(f, c, Tag.BOUNDARY_GRADS, a_k,
+                                            iteration=it, op="boundary"))
+            for i, c in enumerate(conv_ids):
+                _receive(tr, c, Tag.BOUNDARY_GRADS, fc_ids[conv_to_fc[i]], it)
+        ar_seed = _allreduce_seed(seed, it)
+        with tr.phase("exchange"):
+            allreduce_group(tr, conv_group,
+                            dict.fromkeys(conv_ids, partition.conv_params),
+                            seed=ar_seed, op="conv_allreduce")
+            allreduce_group(tr, fc_group,
+                            dict.fromkeys(fc_ids, partition.fc_params),
+                            seed=ar_seed, op="fc_allreduce")
         tr.begin_phase("update")
         tr.end_phase()
     return tr

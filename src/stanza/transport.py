@@ -1,9 +1,17 @@
 """Simulated in-process network with byte accounting and a logical clock.
 
-Nodes are threads sharing one SimTransport. send() is nonblocking; recv()
-blocks until a message matching (tag, source) arrives. Delivery per
-(src, dst) pair is FIFO; a tag/source filter skips non-matching queued
-messages without consuming them.
+All nodes of a cluster share one SimTransport. send() is nonblocking and
+queues the message at its destination; recv() takes the earliest queued
+message matching a (tag, source) filter. Delivery per (src, dst) pair is
+FIFO; the filter skips non-matching queued messages without consuming them.
+
+The runtimes execute every phase on the calling thread: first the sending
+nodes' steps, then the receiving nodes' steps in node order, each receive
+with timeout=0. A message that was never sent therefore raises Timeout at
+once instead of after a wall-clock wait, and phase() shuts the transport
+down so the failed phase's leftovers are never read. recv() with a positive
+timeout blocks until a match arrives; it serves callers that run one thread
+per node, such as run_node_threads.
 
 Time is logical, not wall-clock. The run driver brackets protocol steps in
 *phases*; when a phase closes, the clock advances by the phase's bottleneck
@@ -30,6 +38,7 @@ import json
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -130,7 +139,7 @@ class NetConfig:
     bandwidth: float = 10e9          # bits/s, per node per direction
     per_message_latency: float = 0.0  # seconds, charged once per phase
     full_duplex: bool = True
-    default_timeout: float = 30.0    # seconds of wall time for recv
+    default_timeout: float = 30.0    # wall seconds a blocking recv waits
 
 
 @dataclass
@@ -342,7 +351,11 @@ class SimTransport:
 
     def recv(self, dst: NodeId, tag: Tag | None = None,
              src: NodeId | None = None, timeout: float | None = None) -> Message:
-        """Earliest queued message for dst matching the tag/source filter."""
+        """Earliest queued message for dst matching the tag/source filter.
+
+        Waits up to `timeout` wall seconds (default NetConfig.default_timeout)
+        for a match, then raises Timeout; timeout=0 raises at once.
+        """
         if timeout is None:
             timeout = self.net.default_timeout
         deadline = time.monotonic() + timeout
@@ -395,6 +408,21 @@ class SimTransport:
             self._phase_payload = 0
             self._phase_messages = 0
             return elapsed
+
+    @contextmanager
+    def phase(self, label: str):
+        """Bracket one phase that runs on the calling thread.
+
+        A failure inside shuts the transport down, as run_node_threads does,
+        so no later phase reads a message the failed one left queued.
+        """
+        self.begin_phase(label)
+        try:
+            yield
+        except BaseException:
+            self.shutdown()
+            raise
+        self.end_phase()
 
     def advance_compute(self, seconds: float, label: str) -> float:
         """Charge injected compute time as a zero-byte phase."""

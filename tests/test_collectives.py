@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from stanza.collectives import (ArityMismatch, Group, MemberMissing, NotNeeded,
-                                allreduce_counted, allreduce_sum, gather,
+                                allreduce_counted, allreduce_group,
+                                allreduce_sum, gather,
                                 gather_counted, round_count, scatter,
                                 scatter_counted, surplus_protocol)
 from stanza.transport import (NetConfig, NodeId, Role, SimTransport, Tag,
@@ -165,6 +166,55 @@ class TestCountedAllreduce:
         assert tr_cnt.ledger.total_sent == tr_num.ledger.total_sent
         assert tr_cnt.ledger.rounds_for_op("ar") == tr_num.ledger.rounds_for_op("ar")
         assert len(tr_cnt.ledger.messages) == len(tr_num.ledger.messages)
+
+
+def ledger_csv(tr, path):
+    tr.ledger.export_csv(path)
+    return path.read_bytes()
+
+
+class TestGroupAllreduce:
+    """The single-thread group driver against one thread per member."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 33])
+    def test_numeric_matches_threaded_members(self, n, seed, tmp_path):
+        tr_thr, group, values, threaded = run_allreduce(n, seed=seed,
+                                                        shape=(3, 7))
+        tr_seq, _ = make_cluster(n)
+        seq = allreduce_group(tr_seq, group, values, seed=seed, op="ar")
+        for m in group.members:
+            assert seq[m].shape == threaded[m].shape
+            assert seq[m].tobytes() == threaded[m].tobytes()
+        assert ledger_csv(tr_seq, tmp_path / "seq.csv") == \
+            ledger_csv(tr_thr, tmp_path / "thr.csv")
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 33])
+    def test_counted_matches_threaded_members(self, n, seed, tmp_path):
+        tr_thr, group = make_cluster(n)
+        run_node_threads(tr_thr, {
+            m: (lambda m=m: allreduce_counted(tr_thr, group, m, 20,
+                                              seed=seed, op="ar"))
+            for m in group.members})
+        tr_seq, _ = make_cluster(n)
+        out = allreduce_group(tr_seq, group,
+                              dict.fromkeys(group.members, 20),
+                              seed=seed, op="ar")
+        assert all(v is None for v in out.values())
+        assert ledger_csv(tr_seq, tmp_path / "seq.csv") == \
+            ledger_csv(tr_thr, tmp_path / "thr.csv")
+
+    def test_missing_transfer_fails_fast(self):
+        tr, group = make_cluster(4)
+        send = tr.send
+        tr.send = lambda msg: (None if msg.src == group.members[0]
+                               and msg.round == 2 else send(msg))
+        values = {m: np.ones(3, dtype=np.float32) for m in group.members}
+        start = time.monotonic()
+        with pytest.raises(MemberMissing):
+            allreduce_group(tr, group, values)
+        assert time.monotonic() - start < 1.0
 
 
 class TestGatherScatter:

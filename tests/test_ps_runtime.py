@@ -5,7 +5,8 @@ import pytest
 
 from stanza.checkpointing import param_digest, state_from_bytes, state_to_bytes
 from stanza.model_partition import ConfigError, tiny_cnn
-from stanza.ps_runtime import PsCluster, ShardMap, equal_split, ps_traffic
+from stanza.ps_runtime import (PsCluster, PushOutOfOrder, ShardMap, equal_split,
+                               ps_traffic)
 from stanza.tensor_core import ShapeMismatch
 from stanza.transport import (HEADER_BYTES, NetConfig, Tag)
 
@@ -117,6 +118,26 @@ class TestTraining:
         with pytest.raises(ConfigError):
             PsCluster(spec, n_workers=1, n_servers=1,
                       batch_fn=make_batch_fn(spec, 0), lr=-0.1)
+
+    def test_reordered_push_is_named_error(self):
+        spec = tiny_cnn()
+        cluster = PsCluster(spec, n_workers=2, n_servers=1,
+                            batch_fn=make_batch_fn(spec, 7), lr=LR,
+                            momentum=MU, seed=3)
+        send = cluster.transport.send
+        held = []
+
+        def swap_first_two_pushes(msg):
+            if msg.tag is Tag.GRAD_PUSH and msg.round == 0 and not held:
+                held.append(msg)
+                return
+            send(msg)
+            if held and msg.tag is Tag.GRAD_PUSH and msg.round == 1:
+                send(held.pop())
+
+        cluster.transport.send = swap_first_two_pushes
+        with pytest.raises(PushOutOfOrder):
+            cluster.train(1)
 
     def test_rejects_wrong_batch_size(self):
         spec = tiny_cnn()

@@ -1,5 +1,7 @@
 """Layer-separated protocol against the reference trainer and the PS runtime."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from stanza.stanza_runtime import (MissingSource, StanzaCluster,
                                    collect_group_activations, plan_groups,
                                    stanza_traffic)
 from stanza.tensor_core import CorruptCheckpoint
-from stanza.transport import (NetConfig, NodeId, Role, SimTransport, Tag)
+from stanza.transport import (ClusterShutDown, NetConfig, NodeId, Role,
+                              SimTransport, Tag)
 
 from trainers import (LR, MU, make_batch_fn, max_param_dev, reference_train)
 
@@ -153,6 +156,28 @@ class TestMissingSource:
         with pytest.raises(MissingSource):
             collect_group_activations(tr, fc, [conv], iteration=0,
                                       timeout=0.05)
+
+    def test_dropped_activations_fail_fast(self):
+        spec = tiny_cnn()
+        cluster = make_cluster(spec, 2, 1,
+                               net=NetConfig(default_timeout=60.0))
+        send = cluster.transport.send
+        dropped = []
+
+        def lossy_send(msg):
+            if msg.tag is Tag.ACTIVATIONS and not dropped:
+                dropped.append(msg)
+                return
+            send(msg)
+
+        cluster.transport.send = lossy_send
+        start = time.monotonic()
+        with pytest.raises(MissingSource):
+            cluster.train(1)
+        assert time.monotonic() - start < 1.0
+        assert len(dropped) == 1
+        with pytest.raises(ClusterShutDown):
+            cluster.train(1)
 
 
 class TestLedger:
