@@ -4,7 +4,7 @@ Submodules:
     tensor_core      float32 layers, gradients, momentum SGD, serialization
     model_partition  model specs, CONV/FC split, parameter counting, profiles
     transport        simulated in-process network with a traffic ledger
-    collectives      recursive-doubling allreduce, gather, scatter
+    collectives      recursive-doubling allreduce with surplus folding
     checkpointing    training-state snapshots and digests
     ps_runtime       parameter-server protocol (sharded servers, BSP)
     stanza_runtime   layer-separated protocol (CONV/FC worker groups)

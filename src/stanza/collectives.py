@@ -27,8 +27,10 @@ round sends all of its transfers, then delivers them in schedule order. The
 runtimes use it. allreduce_sum (float32 payloads) and allreduce_counted
 (size-only messages for count profiles) run one member's share of the same
 rounds and are called once per member, each on its own thread. Both
-executors produce the same messages, ledger and bits. gather and scatter,
-and their size-only versions, are per-member helpers that no runtime calls.
+executors produce the same messages, ledger and bits. A member's value is
+a float32 array or an element count, and transport.payload_message makes
+the matching tensor or size-only transfer, so one schedule serves numeric
+and counted runs alike.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import (NodeId, SimTransport, Tag, Timeout, counted_message,
-                        tensor_message)
+from .transport import NodeId, SimTransport, Tag, Timeout, payload_message
 
 
 class NotNeeded(RuntimeError):
@@ -48,10 +49,6 @@ class NotNeeded(RuntimeError):
 
 class MemberMissing(Timeout):
     """A group member never produced its contribution."""
-
-
-class ArityMismatch(ValueError):
-    """scatter got a tensor count different from the group size."""
 
 
 @dataclass(frozen=True)
@@ -142,11 +139,8 @@ def _value(value):
 
 
 def _transfer(src: NodeId, dst: NodeId, value, op: str, rnd: int):
-    if isinstance(value, int):
-        return counted_message(src, dst, Tag.ALLREDUCE_CHUNK, value, op=op,
-                               round=rnd)
-    return tensor_message(src, dst, Tag.ALLREDUCE_CHUNK, value, op=op,
-                          round=rnd)
+    return payload_message(src, dst, Tag.ALLREDUCE_CHUNK, value, op=op,
+                           round=rnd)
 
 
 def _deliver(transport: SimTransport, group: Group, dst: NodeId,
@@ -224,75 +218,3 @@ def allreduce_counted(transport: SimTransport, group: Group, me: NodeId,
                       timeout: float | None = None) -> None:
     """Size-only allreduce_sum: the same transfers, no payload and no math."""
     _allreduce_member(transport, group, me, int(elements), seed, op, timeout)
-
-
-def gather(transport: SimTransport, group: Group, root: NodeId, me: NodeId,
-           value: np.ndarray | None, tag: Tag, *, op: str | None = None,
-           iteration: int | None = None,
-           timeout: float | None = None) -> dict[NodeId, np.ndarray] | None:
-    """Collect one tensor per member at root (root may be outside the group).
-
-    Members pass their tensor as `value`; the root (when not itself a member)
-    passes None. Returns the {member: tensor} dict at root, None elsewhere.
-    """
-    if me != root:
-        transport.send(tensor_message(me, root, tag, value, op=op,
-                                      iteration=iteration))
-        return None
-    out: dict[NodeId, np.ndarray] = {}
-    for member in group.members:
-        if member == root:
-            out[member] = np.ascontiguousarray(value, dtype=np.float32)
-            continue
-        try:
-            msg = transport.recv(root, tag=tag, src=member, timeout=timeout)
-        except Timeout as exc:
-            raise MemberMissing(f"gather missing {member}: {exc}") from exc
-        out[member] = msg.tensor()
-    return out
-
-
-def scatter(transport: SimTransport, group: Group, root: NodeId, me: NodeId,
-            values: dict[NodeId, np.ndarray] | None, tag: Tag, *,
-            op: str | None = None, iteration: int | None = None,
-            timeout: float | None = None) -> np.ndarray | None:
-    """Distribute one tensor per member from root; inverse of gather."""
-    if me == root:
-        if values is None or set(values) != set(group.members):
-            got = sorted(str(k) for k in (values or {}))
-            raise ArityMismatch(f"scatter needs one tensor per member, got {got}")
-        own = None
-        for member in group.members:
-            if member == root:
-                own = np.ascontiguousarray(values[member], dtype=np.float32)
-                continue
-            transport.send(tensor_message(root, member, tag, values[member],
-                                          op=op, iteration=iteration))
-        return own
-    try:
-        msg = transport.recv(me, tag=tag, src=root, timeout=timeout)
-    except Timeout as exc:
-        raise MemberMissing(f"scatter never heard from root {root}: {exc}") from exc
-    return msg.tensor()
-
-
-def gather_counted(transport: SimTransport, group: Group, root: NodeId,
-                   me: NodeId, elements: int, tag: Tag, *, op: str | None = None,
-                   timeout: float | None = None) -> None:
-    if me != root:
-        transport.send(counted_message(me, root, tag, elements, op=op))
-        return
-    for member in group.members:
-        if member != root:
-            transport.recv(root, tag=tag, src=member, timeout=timeout)
-
-
-def scatter_counted(transport: SimTransport, group: Group, root: NodeId,
-                    me: NodeId, elements: int, tag: Tag, *, op: str | None = None,
-                    timeout: float | None = None) -> None:
-    if me == root:
-        for member in group.members:
-            if member != root:
-                transport.send(counted_message(root, member, tag, elements, op=op))
-        return
-    transport.recv(me, tag=tag, src=root, timeout=timeout)

@@ -48,7 +48,7 @@ from .ps_runtime import PsCluster, ps_traffic
 from .stanza_runtime import StanzaCluster, stanza_traffic
 from .tensor_core import (FullyConnected, OptimizerState, block_backward,
                           block_forward, seeded_init, sgd_step)
-from .transport import NetConfig, Tag
+from .transport import LedgerInvariant, NetConfig, Tag
 
 
 class MismatchedConfigs(ValueError):
@@ -399,8 +399,8 @@ def _check_finite(losses, state: TrainState | None) -> None:
 def _iteration_seconds(ledger, iterations: int) -> tuple[float, ...]:
     phases = ledger.phases
     if iterations < 1 or len(phases) % iterations:
-        raise AssertionError(f"{len(phases)} phases do not divide into "
-                             f"{iterations} iterations")
+        raise LedgerInvariant(f"{len(phases)} phases do not divide into "
+                              f"{iterations} iterations")
     per = len(phases) // iterations
     return tuple(math.fsum(p.elapsed for p in phases[i * per:(i + 1) * per])
                  for i in range(iterations))
@@ -408,8 +408,8 @@ def _iteration_seconds(ledger, iterations: int) -> tuple[float, ...]:
 
 def _exact_div(numerator: int, denominator: int, what: str) -> int:
     if denominator < 1 or numerator % denominator:
-        raise AssertionError(f"{what}: {numerator} not divisible by "
-                             f"{denominator}")
+        raise LedgerInvariant(f"{what}: {numerator} not divisible by "
+                              f"{denominator}")
     return numerator // denominator
 
 

@@ -7,8 +7,12 @@ order and apply one momentum-SGD step, and the workers pull the updated
 tensors back. All phases are bulk synchronous, so the ledger clock
 charges each phase at its slowest node.
 
-Push and pull run on the calling thread: every sender's messages first,
-then every receiver's, in node order.
+Push and pull are written once, over numbered items that each have an
+owning server and a value, a float32 array or an element count
+(transport.payload_message). PsCluster passes one array per tensor;
+ps_traffic passes one count per server that owns anything, its whole shard.
+Senders' messages go first, then receivers' in node order, on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .tensor_core import (OptimizerState, ShapeMismatch, block_backward,
                           param_index_pairs, param_shapes, rebuild_params,
                           seeded_init, sgd_step)
 from .transport import (NetConfig, NodeId, Role, SimTransport, Tag,
-                        counted_message, tensor_message)
+                        payload_message)
 
 
 class PushOutOfOrder(RuntimeError):
@@ -41,7 +45,8 @@ def equal_split(total: int, parts: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ShardMap:
-    """Assignment of flat tensor ids to servers."""
+    """Assignment of numbered items to servers: flat tensor ids, or whole
+    shards in a size-only run."""
     n_servers: int
     owner: tuple[int, ...]
 
@@ -67,6 +72,53 @@ class ShardMap:
         for tid, s in enumerate(self.owner):
             elems[s] += sizes[tid]
         return elems
+
+
+def _push_phase(tr: SimTransport, workers, servers, items: ShardMap,
+                it: int, values) -> dict:
+    """Every worker pushes its value of each item to the item's server.
+
+    values[w][item] is worker w's value, an array or an element count. The
+    item number rides along as the message round. Returns {(worker index,
+    item): value} as the servers received them.
+    """
+    owned = [items.tensors_of(s) for s in range(len(servers))]
+    with tr.phase("push"):
+        for w in workers:
+            for item, value in enumerate(values[w]):
+                tr.send(payload_message(w, servers[items.owner[item]],
+                                        Tag.GRAD_PUSH, value, iteration=it,
+                                        op="push", round=item))
+        pushes = {}
+        for s, mine in zip(servers, owned):
+            for w_idx, w in enumerate(workers):
+                for item in mine:
+                    msg = tr.recv(s, tag=Tag.GRAD_PUSH, src=w, timeout=0)
+                    if msg.round != item:
+                        raise PushOutOfOrder(f"{s} expected item {item} from "
+                                             f"{w}, got {msg.round}")
+                    pushes[(w_idx, item)] = msg.value()
+        return pushes
+
+
+def _pull_phase(tr: SimTransport, workers, servers, items: ShardMap,
+                it: int, values) -> dict:
+    """Every server sends each worker its value of each item it owns.
+
+    values[item] is the owning server's value, an array or an element count.
+    Returns, per worker, the received values in item order.
+    """
+    owned = [items.tensors_of(s) for s in range(len(servers))]
+    with tr.phase("pull"):
+        for s, mine in zip(servers, owned):
+            for w in workers:
+                for item in mine:
+                    tr.send(payload_message(s, w, Tag.PARAM_PULL,
+                                            values[item], iteration=it,
+                                            op="pull", round=item))
+        return {w: [tr.recv(w, tag=Tag.PARAM_PULL, src=servers[s_idx],
+                            timeout=0).value() for s_idx in items.owner]
+                for w in workers}
 
 
 @dataclass
@@ -129,33 +181,29 @@ class PsCluster:
             w: [[t.copy() for t in layer] for layer in params0]
             for w in self.worker_ids
         }
-        # each server holds its owned tensors as a one-tensor-per-slot list,
-        # which is the nested structure sgd_step expects
+        # the servers' tensors by flat tensor id; each server steps the ones
+        # it owns as one-tensor slots, the nested structure sgd_step expects
+        self._server_params = [t.copy() for t in flat0]
+        self._server_vel = [t.copy() for t in flat_vel0]
         self._owned = [self.shard_map.tensors_of(s) for s in range(n_servers)]
-        self._shard_params = [[[flat0[tid].copy()] for tid in owned]
-                              for owned in self._owned]
         self._shard_opt = [
             OptimizerState(lr=lr, momentum=momentum,
-                           velocity=[[flat_vel0[tid].copy()] for tid in owned])
+                           velocity=[[self._server_vel[tid]] for tid in owned])
             for owned in self._owned
         ]
 
     # -- state ------------------------------------------------------------
 
+    def _rebuild(self, flat) -> list:
+        """Copies of flat tensors, nested layer by layer like the model."""
+        return rebuild_params([t.copy() for t in flat], self._pairs,
+                              len(self.layers))
+
     def state(self) -> TrainState:
         """Authoritative training state, reassembled from the server shards."""
-        n_tensors = len(self._pairs)
-        flat_p: list = [None] * n_tensors
-        flat_v: list = [None] * n_tensors
-        for s in range(self.n_servers):
-            for pos, tid in enumerate(self._owned[s]):
-                flat_p[tid] = self._shard_params[s][pos][0].copy()
-                flat_v[tid] = self._shard_opt[s].velocity[pos][0].copy()
-        return TrainState(
-            iteration=self.iteration,
-            params=rebuild_params(flat_p, self._pairs, len(self.layers)),
-            velocities=rebuild_params(flat_v, self._pairs, len(self.layers)),
-        )
+        return TrainState(iteration=self.iteration,
+                          params=self._rebuild(self._server_params),
+                          velocities=self._rebuild(self._server_vel))
 
     # -- one iteration ------------------------------------------------------
 
@@ -177,74 +225,36 @@ class PsCluster:
             loss_sum += float(out.sum())
         return grads, loss_sum
 
-    def _push_phase(self, it: int, grads) -> dict:
-        tr = self.transport
-        with tr.phase("push"):
-            for w in self.worker_ids:
-                for tid, g in enumerate(grads[w]):
-                    dst = self.server_ids[self.shard_map.owner[tid]]
-                    tr.send(tensor_message(w, dst, Tag.GRAD_PUSH, g,
-                                           iteration=it, op="push", round=tid))
-            pushes = {}
-            for s_idx, s in enumerate(self.server_ids):
-                stash = {}
-                for w_idx, w in enumerate(self.worker_ids):
-                    for tid in self._owned[s_idx]:
-                        msg = tr.recv(s, tag=Tag.GRAD_PUSH, src=w, timeout=0)
-                        if msg.round != tid:
-                            raise PushOutOfOrder(
-                                f"{s} expected tensor {tid} from {w}, got "
-                                f"{msg.round}")
-                        stash[(w_idx, tid)] = msg.tensor()
-                pushes[s] = stash
-            return pushes
-
     def _update_phase(self, pushes) -> None:
         tr = self.transport
         tr.begin_phase("update")
         n = self.n_workers * self.spec.batch_k
-        for s_idx in range(self.n_servers):
-            stash = pushes[self.server_ids[s_idx]]
+        for owned, opt in zip(self._owned, self._shard_opt):
             grads_nested = []
-            for tid in self._owned[s_idx]:
-                acc = stash[(0, tid)].copy()
+            for tid in owned:
+                acc = pushes[(0, tid)].copy()
                 for w_idx in range(1, self.n_workers):
-                    acc += stash[(w_idx, tid)]
+                    acc += pushes[(w_idx, tid)]
                 grads_nested.append([acc])
-            sgd_step(self._shard_params[s_idx], grads_nested, n,
-                     self._shard_opt[s_idx])
+            sgd_step([[self._server_params[tid]] for tid in owned],
+                     grads_nested, n, opt)
         tr.end_phase()
-
-    def _pull_phase(self, it: int) -> None:
-        tr = self.transport
-        n_tensors = len(self._pairs)
-        with tr.phase("pull"):
-            for s_idx, s in enumerate(self.server_ids):
-                for w in self.worker_ids:
-                    for pos, tid in enumerate(self._owned[s_idx]):
-                        tr.send(tensor_message(
-                            s, w, Tag.PARAM_PULL,
-                            self._shard_params[s_idx][pos][0],
-                            iteration=it, op="pull", round=tid))
-            for w in self.worker_ids:
-                flat = [None] * n_tensors
-                for tid in range(n_tensors):
-                    src = self.server_ids[self.shard_map.owner[tid]]
-                    msg = tr.recv(w, tag=Tag.PARAM_PULL, src=src, timeout=0)
-                    flat[msg.round] = msg.tensor().copy()
-                self.worker_params[w] = rebuild_params(flat, self._pairs,
-                                                       len(self.layers))
 
     def train(self, iterations: int) -> PsResult:
         """Run `iterations` more iterations; may be called repeatedly."""
         losses = []
+        tr = self.transport
         for _ in range(iterations):
             it = self.iteration
-            self.transport.advance_compute(self.compute_time, "compute")
+            tr.advance_compute(self.compute_time, "compute")
             grads, loss_sum = self._local_gradients(it)
-            pushes = self._push_phase(it, grads)
+            pushes = _push_phase(tr, self.worker_ids, self.server_ids,
+                                 self.shard_map, it, grads)
             self._update_phase(pushes)
-            self._pull_phase(it)
+            pulled = _pull_phase(tr, self.worker_ids, self.server_ids,
+                                 self.shard_map, it, self._server_params)
+            for w, flat in pulled.items():
+                self.worker_params[w] = self._rebuild(flat)
             losses.append(loss_sum / (self.n_workers * self.spec.batch_k))
             self.iteration += 1
         return PsResult(losses=losses, state=self.state(),
@@ -276,28 +286,15 @@ def ps_traffic(spec: ModelSpec, *, n_workers: int, n_servers: int,
     workers = [NodeId(Role.PS_WORKER, i) for i in range(n_workers)]
     servers = [NodeId(Role.PS_SERVER, i) for i in range(n_servers)]
     tr.register_all(workers + servers)
-    live = [s for s in range(n_servers) if shard_elems[s] > 0]
-
+    # one item per server that owns anything: its whole shard
+    live = [s for s, elems in enumerate(shard_elems) if elems > 0]
+    items = ShardMap(n_servers=n_servers, owner=tuple(live))
+    shards = [shard_elems[s] for s in live]
     for it in range(iterations):
         tr.advance_compute(compute_time, "compute")
-        with tr.phase("push"):
-            for w in workers:
-                for s in live:
-                    tr.send(counted_message(w, servers[s], Tag.GRAD_PUSH,
-                                            shard_elems[s], iteration=it,
-                                            op="push"))
-            for s in live:
-                for w in workers:
-                    tr.recv(servers[s], tag=Tag.GRAD_PUSH, src=w, timeout=0)
+        _push_phase(tr, workers, servers, items, it,
+                    dict.fromkeys(workers, shards))
         tr.begin_phase("update")
         tr.end_phase()
-        with tr.phase("pull"):
-            for s in live:
-                for w in workers:
-                    tr.send(counted_message(servers[s], w, Tag.PARAM_PULL,
-                                            shard_elems[s], iteration=it,
-                                            op="pull"))
-            for w in workers:
-                for _ in live:
-                    tr.recv(w, tag=Tag.PARAM_PULL, timeout=0)
+        _pull_phase(tr, workers, servers, items, it, shards)
     return tr

@@ -13,14 +13,17 @@ fc_unit_time per served CONV batch); the numeric math runs regardless and
 takes no simulated time of its own. The two allreduces share one exchange
 phase, so the clock charges max(conv window, fc window), never the sum.
 
+The schedule is written once: the activations, boundary and exchange
+phases are module-level functions over one Layout of the nodes. Each
+payload is a float32 array or an element count (transport.payload_message).
+StanzaCluster passes arrays and labels; stanza_traffic passes counts and no
+labels, so size-only runs ship no CONTROL messages.
+
 Every phase runs on the calling thread. The sending nodes' steps run first,
 then the receiving nodes' steps in node order; each receive takes an already
 queued message, so a message that was never sent raises MissingSource at
-once. The exchange walks the one allreduce schedule in collectives through
-allreduce_group, for both groups, in StanzaCluster with float32 payloads and
-in stanza_traffic with size-only messages. Host threads never change what is
-simulated: messages, link sequences, phase loads and folds are fixed by the
-schedule.
+once. Host threads never change what is simulated: messages, link
+sequences, phase loads and folds are fixed by the schedule.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .tensor_core import (OptimizerState, ShapeMismatch, block_backward,
                           block_forward, check_same_structure, pack_vector,
                           seeded_init, sgd_step, unpack_vector)
 from .transport import (Message, NetConfig, NodeId, Role, SimTransport, Tag,
-                        Timeout, counted_message, tensor_message)
+                        Timeout, payload_message)
 
 
 class MissingSource(Timeout):
@@ -64,43 +67,104 @@ def plan_groups(n_conv: int, n_fc: int) -> list[int]:
     return conv_to_fc
 
 
-def _allreduce_seed(seed: int, iteration: int) -> int:
-    # one surplus-selection draw per iteration, derived from the run seed
-    return seed * 1_000_003 + iteration
+@dataclass(frozen=True)
+class Layout:
+    """The nodes of one deployment and which FC worker serves which CONV
+    worker; numeric and size-only runs share it."""
+    conv_ids: tuple[NodeId, ...]
+    fc_ids: tuple[NodeId, ...]
+    conv_group: Group
+    fc_group: Group
+    fc_of: dict[NodeId, NodeId]               # serving FC worker per CONV worker
+    served: dict[NodeId, tuple[NodeId, ...]]  # CONV workers per FC worker
+
+    @classmethod
+    def plan(cls, n_conv: int, n_fc: int) -> "Layout":
+        conv_to_fc = plan_groups(n_conv, n_fc)
+        conv_ids = tuple(NodeId(Role.CONV_WORKER, i) for i in range(n_conv))
+        fc_ids = tuple(NodeId(Role.FC_WORKER, j) for j in range(n_fc))
+        fc_of = {c: fc_ids[j] for c, j in zip(conv_ids, conv_to_fc)}
+        served = {f: tuple(c for c in conv_ids if fc_of[c] == f)
+                  for f in fc_ids}
+        return cls(conv_ids, fc_ids, Group(conv_ids), Group(fc_ids), fc_of,
+                   served)
+
+    @property
+    def max_group(self) -> int:
+        return max(len(sources) for sources in self.served.values())
 
 
 def _receive(transport: SimTransport, dst: NodeId, tag: Tag, src: NodeId,
              iteration: int) -> Message:
-    """The queued message for dst from src; MissingSource if none was sent."""
+    """The message src queued for dst this iteration; MissingSource if none
+    was sent."""
     try:
-        return transport.recv(dst, tag=tag, src=src, timeout=0)
+        msg = transport.recv(dst, tag=tag, src=src, timeout=0)
     except Timeout as exc:
         raise MissingSource(f"{dst} got no {tag.value} from {src} at "
                             f"iteration {iteration}") from exc
+    if msg.iteration != iteration:
+        raise MissingSource(f"{src} delivered iteration {msg.iteration}, "
+                            f"expected {iteration}")
+    return msg
 
 
-def collect_group_activations(transport: SimTransport, fc: NodeId,
-                              sources, iteration: int,
-                              timeout: float | None = None):
-    """Receive activations and labels from each CONV source, in source order.
+def _activations_phase(tr: SimTransport, layout: Layout, it: int, acts,
+                       labels=None) -> dict:
+    """Every CONV worker ships its boundary activations to its FC worker.
 
-    Returns (acts, labels) as per-source lists. Raises MissingSource when a
-    source never delivers.
+    acts maps each CONV worker to its activations, an array or an element
+    count. Labels, when given, follow as one CONTROL message per CONV
+    worker; size-only runs pass none. Returns per FC worker the received
+    activations and labels (None without labels), in served order.
     """
-    acts, labels = [], []
-    for c in sources:
-        try:
-            a = transport.recv(fc, tag=Tag.ACTIVATIONS, src=c, timeout=timeout)
-            y = transport.recv(fc, tag=Tag.CONTROL, src=c, timeout=timeout)
-        except Timeout as exc:
-            raise MissingSource(
-                f"no activations from {c} at iteration {iteration}") from exc
-        if a.iteration != iteration:
-            raise MissingSource(
-                f"{c} delivered iteration {a.iteration}, expected {iteration}")
-        acts.append(a.tensor())
-        labels.append(y.tensor().astype(np.int64))
-    return acts, labels
+    with tr.phase("activations"):
+        for c, f in layout.fc_of.items():
+            tr.send(payload_message(c, f, Tag.ACTIVATIONS, acts[c],
+                                    iteration=it, op="activations"))
+            if labels is not None:
+                tr.send(payload_message(c, f, Tag.CONTROL, labels[c],
+                                        iteration=it, op="labels"))
+        gathered = {}
+        for f, sources in layout.served.items():
+            xs = [_receive(tr, f, Tag.ACTIVATIONS, c, it).value()
+                  for c in sources]
+            ys = None
+            if labels is not None:
+                ys = [_receive(tr, f, Tag.CONTROL, c, it).tensor()
+                      .astype(np.int64) for c in sources]
+            gathered[f] = (xs, ys)
+        return gathered
+
+
+def _boundary_phase(tr: SimTransport, layout: Layout, it: int, grads) -> dict:
+    """Every FC worker returns each served CONV worker its boundary-gradient
+    slice (an array or an element count); returns what each CONV worker got.
+    """
+    with tr.phase("boundary"):
+        for f, sources in layout.served.items():
+            for c in sources:
+                tr.send(payload_message(f, c, Tag.BOUNDARY_GRADS, grads[c],
+                                        iteration=it, op="boundary"))
+        return {c: _receive(tr, c, Tag.BOUNDARY_GRADS, f, it).value()
+                for c, f in layout.fc_of.items()}
+
+
+def _exchange_phase(tr: SimTransport, layout: Layout, it: int, seed: int,
+                    conv_values, fc_values):
+    """Both groups allreduce their block gradients in one overlapped phase.
+
+    The values are each member's packed gradient sum or its element count;
+    returns the two groups' allreduce_group results.
+    """
+    # one surplus-selection draw per iteration, derived from the run seed
+    ar_seed = seed * 1_000_003 + it
+    with tr.phase("exchange"):
+        conv_sums = allreduce_group(tr, layout.conv_group, conv_values,
+                                    seed=ar_seed, op="conv_allreduce")
+        fc_sums = allreduce_group(tr, layout.fc_group, fc_values,
+                                  seed=ar_seed, op="fc_allreduce")
+        return conv_sums, fc_sums
 
 
 @dataclass
@@ -140,8 +204,7 @@ class StanzaCluster:
         self.seed = seed
         self.n_conv = n_conv
         self.n_fc = n_fc
-        self.conv_to_fc = plan_groups(n_conv, n_fc)
-        self.max_group = max(self.conv_to_fc.count(j) for j in range(n_fc))
+        self.layout = Layout.plan(n_conv, n_fc)
 
         cut = self.partition.split_index
         if state is None:
@@ -158,12 +221,10 @@ class StanzaCluster:
             vel0 = [[t.copy() for t in layer] for layer in state.velocities]
             self.iteration = state.iteration
 
+        self.conv_ids = self.layout.conv_ids
+        self.fc_ids = self.layout.fc_ids
         self.transport = SimTransport(net)
-        self.conv_ids = [NodeId(Role.CONV_WORKER, i) for i in range(n_conv)]
-        self.fc_ids = [NodeId(Role.FC_WORKER, j) for j in range(n_fc)]
         self.transport.register_all(self.conv_ids + self.fc_ids)
-        self.conv_group = Group(tuple(self.conv_ids))
-        self.fc_group = Group(tuple(self.fc_ids))
 
         def copy_block(nested, lo, hi):
             return [[t.copy() for t in layer] for layer in nested[lo:hi]]
@@ -180,9 +241,6 @@ class StanzaCluster:
             velocity=copy_block(vel0, cut, len(self.layers)))
             for f in self.fc_ids}
         self.replica_snapshots: dict[NodeId, bytes] = {}
-
-    def group_members(self, fc_index: int) -> list[int]:
-        return [i for i, j in enumerate(self.conv_to_fc) if j == fc_index]
 
     # -- state ------------------------------------------------------------
 
@@ -236,22 +294,6 @@ class StanzaCluster:
             acts[c], labels[c], caches[c] = a, y, cache
         return acts, labels, caches
 
-    def _activations_phase(self, it: int, acts, labels):
-        tr = self.transport
-        with tr.phase("activations"):
-            for i, c in enumerate(self.conv_ids):
-                dst = self.fc_ids[self.conv_to_fc[i]]
-                tr.send(tensor_message(c, dst, Tag.ACTIVATIONS, acts[c],
-                                       iteration=it, op="activations"))
-                tr.send(tensor_message(c, dst, Tag.CONTROL,
-                                       np.asarray(labels[c], dtype=np.float32),
-                                       iteration=it, op="labels"))
-            return {
-                f: collect_group_activations(
-                    tr, f, [self.conv_ids[i] for i in self.group_members(j)],
-                    it, timeout=0)
-                for j, f in enumerate(self.fc_ids)}
-
     def _fc_step(self, gathered):
         """Back-block forward/backward per FC worker over its group's batch.
 
@@ -261,8 +303,7 @@ class StanzaCluster:
         fc_block = self.partition.fc_block
         fc_grads, boundary, loss_sum = {}, {}, 0.0
         k = self.spec.batch_k
-        for j, f in enumerate(self.fc_ids):
-            acts, labels = gathered[f]
+        for f, (acts, labels) in gathered.items():
             x = np.concatenate(acts)
             y = np.concatenate(labels)
             out, caches = block_forward(fc_block, self.fc_params[f], x,
@@ -271,38 +312,9 @@ class StanzaCluster:
                                        None)
             fc_grads[f] = grads
             loss_sum += float(out.sum())
-            for pos, i in enumerate(self.group_members(j)):
-                boundary[self.conv_ids[i]] = gx[pos * k:(pos + 1) * k]
+            for pos, c in enumerate(self.layout.served[f]):
+                boundary[c] = gx[pos * k:(pos + 1) * k]
         return fc_grads, boundary, loss_sum
-
-    def _boundary_phase(self, it: int, boundary):
-        tr = self.transport
-        with tr.phase("boundary"):
-            for j, f in enumerate(self.fc_ids):
-                for i in self.group_members(j):
-                    c = self.conv_ids[i]
-                    tr.send(tensor_message(f, c, Tag.BOUNDARY_GRADS,
-                                           boundary[c], iteration=it,
-                                           op="boundary"))
-            return {
-                c: _receive(tr, c, Tag.BOUNDARY_GRADS,
-                            self.fc_ids[self.conv_to_fc[i]], it).tensor()
-                for i, c in enumerate(self.conv_ids)}
-
-    def _exchange_phase(self, it: int, conv_grads, fc_grads):
-        """Both groups allreduce their block gradients in one overlapped phase."""
-        tr = self.transport
-        ar_seed = _allreduce_seed(self.seed, it)
-        with tr.phase("exchange"):
-            conv_sums = allreduce_group(
-                tr, self.conv_group,
-                {c: pack_vector(conv_grads[c]) for c in self.conv_ids},
-                seed=ar_seed, op="conv_allreduce")
-            fc_sums = allreduce_group(
-                tr, self.fc_group,
-                {f: pack_vector(fc_grads[f]) for f in self.fc_ids},
-                seed=ar_seed, op="fc_allreduce")
-            return conv_sums, fc_sums
 
     def _update_phase(self, conv_sums, fc_sums):
         tr = self.transport
@@ -320,21 +332,24 @@ class StanzaCluster:
         """Run `iterations` more iterations; may be called repeatedly."""
         losses = []
         conv_block = self.partition.conv_block
+        tr, layout = self.transport, self.layout
         for _ in range(iterations):
             it = self.iteration
-            self.transport.advance_compute(self.conv_time, "conv_compute")
+            tr.advance_compute(self.conv_time, "conv_compute")
             acts, labels, conv_caches = self._conv_forward(it)
-            gathered = self._activations_phase(it, acts, labels)
-            self.transport.advance_compute(
-                self.max_group * self.fc_unit_time, "fc_compute")
+            gathered = _activations_phase(tr, layout, it, acts, labels)
+            tr.advance_compute(layout.max_group * self.fc_unit_time,
+                               "fc_compute")
             fc_grads, boundary_out, loss_sum = self._fc_step(gathered)
-            boundary_in = self._boundary_phase(it, boundary_out)
+            boundary_in = _boundary_phase(tr, layout, it, boundary_out)
             conv_grads = {}
             for c in self.conv_ids:
                 _, g = block_backward(conv_block, self.conv_params[c],
                                       conv_caches[c], boundary_in[c])
-                conv_grads[c] = g
-            conv_sums, fc_sums = self._exchange_phase(it, conv_grads, fc_grads)
+                conv_grads[c] = pack_vector(g)
+            conv_sums, fc_sums = _exchange_phase(
+                tr, layout, it, self.seed, conv_grads,
+                {f: pack_vector(g) for f, g in fc_grads.items()})
             self._update_phase(conv_sums, fc_sums)
             losses.append(loss_sum / (self.n_conv * self.spec.batch_k))
             self.iteration += 1
@@ -354,45 +369,19 @@ def stanza_traffic(spec: ModelSpec, *, n_conv: int, n_fc: int,
     """
     partition = (mlp_split(spec, boundary) if boundary is not None
                  else split(spec))
-    conv_to_fc = plan_groups(n_conv, n_fc)
-    max_group = max(conv_to_fc.count(j) for j in range(n_fc))
-    a_k = partition.boundary_activations * spec.batch_k
-
+    layout = Layout.plan(n_conv, n_fc)
     tr = SimTransport(net)
-    conv_ids = [NodeId(Role.CONV_WORKER, i) for i in range(n_conv)]
-    fc_ids = [NodeId(Role.FC_WORKER, j) for j in range(n_fc)]
-    tr.register_all(conv_ids + fc_ids)
-    conv_group = Group(tuple(conv_ids))
-    fc_group = Group(tuple(fc_ids))
-    served = [[conv_ids[i] for i in range(n_conv) if conv_to_fc[i] == j]
-              for j in range(n_fc)]
-
+    tr.register_all(layout.conv_ids + layout.fc_ids)
+    a_k = dict.fromkeys(layout.conv_ids,
+                        partition.boundary_activations * spec.batch_k)
+    conv_params = dict.fromkeys(layout.conv_ids, partition.conv_params)
+    fc_params = dict.fromkeys(layout.fc_ids, partition.fc_params)
     for it in range(iterations):
         tr.advance_compute(conv_time, "conv_compute")
-        with tr.phase("activations"):
-            for i, c in enumerate(conv_ids):
-                tr.send(counted_message(c, fc_ids[conv_to_fc[i]],
-                                        Tag.ACTIVATIONS, a_k, iteration=it,
-                                        op="activations"))
-            for f, sources in zip(fc_ids, served):
-                for c in sources:
-                    _receive(tr, f, Tag.ACTIVATIONS, c, it)
-        tr.advance_compute(max_group * fc_unit_time, "fc_compute")
-        with tr.phase("boundary"):
-            for f, sources in zip(fc_ids, served):
-                for c in sources:
-                    tr.send(counted_message(f, c, Tag.BOUNDARY_GRADS, a_k,
-                                            iteration=it, op="boundary"))
-            for i, c in enumerate(conv_ids):
-                _receive(tr, c, Tag.BOUNDARY_GRADS, fc_ids[conv_to_fc[i]], it)
-        ar_seed = _allreduce_seed(seed, it)
-        with tr.phase("exchange"):
-            allreduce_group(tr, conv_group,
-                            dict.fromkeys(conv_ids, partition.conv_params),
-                            seed=ar_seed, op="conv_allreduce")
-            allreduce_group(tr, fc_group,
-                            dict.fromkeys(fc_ids, partition.fc_params),
-                            seed=ar_seed, op="fc_allreduce")
+        _activations_phase(tr, layout, it, a_k)
+        tr.advance_compute(layout.max_group * fc_unit_time, "fc_compute")
+        _boundary_phase(tr, layout, it, a_k)
+        _exchange_phase(tr, layout, it, seed, conv_params, fc_params)
         tr.begin_phase("update")
         tr.end_phase()
     return tr

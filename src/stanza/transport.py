@@ -29,6 +29,9 @@ from tag-filtered traffic metrics, which count tensor payload bytes only.
 Count-profile runs move size-only messages: payload None, payload_elements
 authoritative (4 bytes per element). Numeric runs carry real payload bytes,
 and for tensor-bearing tags len(payload) == 4 * payload_elements always.
+payload_message makes a tensor message from an array and a size-only one
+from an element count, and Message.value() gives the receiver the same kind
+of value back, so one phase body serves both kinds of run.
 """
 
 from __future__ import annotations
@@ -96,6 +99,11 @@ class ClusterShutDown(RuntimeError):
     pass
 
 
+class LedgerInvariant(AssertionError):
+    """The ledger broke an accounting invariant: bytes not conserved, or
+    phases and bytes that do not divide evenly into iterations."""
+
+
 @dataclass
 class Message:
     src: NodeId
@@ -120,6 +128,11 @@ class Message:
         a = np.frombuffer(self.payload, dtype="<f4")
         return a.reshape(self.shape) if self.shape is not None else a
 
+    def value(self) -> np.ndarray | int:
+        """The payload as payload_message took it: the tensor, or the element
+        count of a size-only message."""
+        return self.payload_elements if self.payload is None else self.tensor()
+
 
 def tensor_message(src: NodeId, dst: NodeId, tag: Tag, array: np.ndarray,
                    **kw) -> Message:
@@ -132,6 +145,15 @@ def counted_message(src: NodeId, dst: NodeId, tag: Tag, elements: int,
                     **kw) -> Message:
     return Message(src=src, dst=dst, tag=tag, payload_elements=int(elements),
                    **kw)
+
+
+def payload_message(src: NodeId, dst: NodeId, tag: Tag, value,
+                    **kw) -> Message:
+    """A size-only message for an element count, else a float32 tensor
+    message for an array."""
+    if isinstance(value, (int, np.integer)):
+        return counted_message(src, dst, tag, value, **kw)
+    return tensor_message(src, dst, tag, value, **kw)
 
 
 @dataclass
@@ -224,7 +246,8 @@ class TrafficLedger:
     def assert_conserved(self) -> None:
         sent, received = self.total_sent, self.total_received
         if sent != received:
-            raise AssertionError(f"byte conservation violated: {sent} != {received}")
+            raise LedgerInvariant(
+                f"byte conservation violated: {sent} != {received}")
 
     # -- exports ------------------------------------------------------------
 

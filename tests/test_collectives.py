@@ -1,17 +1,15 @@
-"""Allreduce against the canonical-order fold oracle, plus gather/scatter."""
+"""Allreduce against the canonical-order fold oracle."""
 
 import time
 
 import numpy as np
 import pytest
 
-from stanza.collectives import (ArityMismatch, Group, MemberMissing, NotNeeded,
+from stanza.collectives import (Group, MemberMissing, NotNeeded,
                                 allreduce_counted, allreduce_group,
-                                allreduce_sum, gather,
-                                gather_counted, round_count, scatter,
-                                scatter_counted, surplus_protocol)
-from stanza.transport import (NetConfig, NodeId, Role, SimTransport, Tag,
-                              run_node_threads, tensor_message)
+                                allreduce_sum, round_count, surplus_protocol)
+from stanza.transport import (NetConfig, NodeId, Role, SimTransport,
+                              run_node_threads)
 
 from oracles import allreduce_reference
 
@@ -215,127 +213,6 @@ class TestGroupAllreduce:
         with pytest.raises(MemberMissing):
             allreduce_group(tr, group, values)
         assert time.monotonic() - start < 1.0
-
-
-class TestGatherScatter:
-    def test_gather_to_external_root(self):
-        tr = SimTransport()
-        members = conv_nodes(3)
-        root = NodeId(Role.FC_WORKER, 0)
-        tr.register_all(list(members) + [root])
-        group = Group(members)
-        values = {m: np.full(4, i, dtype=np.float32)
-                  for i, m in enumerate(members)}
-
-        tasks = {m: (lambda m=m: gather(tr, group, root, m, values[m],
-                                        Tag.ACTIVATIONS))
-                 for m in members}
-        tasks[root] = lambda: gather(tr, group, root, root, None, Tag.ACTIVATIONS)
-        results = run_node_threads(tr, tasks)
-        out = results[root]
-        assert set(out) == set(members)
-        for i, m in enumerate(members):
-            np.testing.assert_array_equal(out[m], values[m])
-        assert all(results[m] is None for m in members)
-
-    def test_gather_root_inside_group(self):
-        tr = SimTransport()
-        members = conv_nodes(3)
-        tr.register_all(members)
-        group = Group(members)
-        root = members[1]
-        values = {m: np.full(2, i, dtype=np.float32)
-                  for i, m in enumerate(members)}
-        tasks = {m: (lambda m=m: gather(tr, group, root, m, values[m],
-                                        Tag.GRAD_PUSH))
-                 for m in members}
-        results = run_node_threads(tr, tasks)
-        np.testing.assert_array_equal(results[root][members[1]], values[members[1]])
-
-    def test_gather_missing_member(self):
-        tr = SimTransport(NetConfig(default_timeout=0.1))
-        members = conv_nodes(2)
-        root = NodeId(Role.FC_WORKER, 0)
-        tr.register_all(list(members) + [root])
-        group = Group(members)
-        # only member 0 contributes
-        tr.send(tensor_message(members[0], root, Tag.ACTIVATIONS,
-                               np.zeros(2, dtype=np.float32)))
-        with pytest.raises(MemberMissing):
-            gather(tr, group, root, root, None, Tag.ACTIVATIONS, timeout=0.1)
-
-    def test_scatter_roundtrip(self):
-        tr = SimTransport()
-        members = conv_nodes(4)
-        root = NodeId(Role.FC_WORKER, 0)
-        tr.register_all(list(members) + [root])
-        group = Group(members)
-        values = {m: np.full(3, 10 + i, dtype=np.float32)
-                  for i, m in enumerate(members)}
-        tasks = {m: (lambda m=m: scatter(tr, group, root, m, None,
-                                         Tag.BOUNDARY_GRADS))
-                 for m in members}
-        tasks[root] = lambda: scatter(tr, group, root, root, values,
-                                      Tag.BOUNDARY_GRADS)
-        results = run_node_threads(tr, tasks)
-        for i, m in enumerate(members):
-            np.testing.assert_array_equal(results[m], values[m])
-
-    def test_scatter_arity_mismatch(self):
-        tr = SimTransport()
-        members = conv_nodes(3)
-        root = NodeId(Role.FC_WORKER, 0)
-        tr.register_all(list(members) + [root])
-        group = Group(members)
-        short = {members[0]: np.zeros(1, dtype=np.float32)}
-        with pytest.raises(ArityMismatch):
-            scatter(tr, group, root, root, short, Tag.BOUNDARY_GRADS)
-
-    def test_counted_twins_move_same_bytes(self):
-        def numeric():
-            tr = SimTransport()
-            members = conv_nodes(3)
-            root = NodeId(Role.FC_WORKER, 0)
-            tr.register_all(list(members) + [root])
-            group = Group(members)
-            vals = {m: np.zeros(6, dtype=np.float32) for m in members}
-            tasks = {m: (lambda m=m: gather(tr, group, root, m, vals[m],
-                                            Tag.ACTIVATIONS))
-                     for m in members}
-            tasks[root] = lambda: gather(tr, group, root, root, None,
-                                         Tag.ACTIVATIONS)
-            run_node_threads(tr, tasks)
-            return tr.ledger.total_sent
-
-        def counted():
-            tr = SimTransport()
-            members = conv_nodes(3)
-            root = NodeId(Role.FC_WORKER, 0)
-            tr.register_all(list(members) + [root])
-            group = Group(members)
-            tasks = {m: (lambda m=m: gather_counted(tr, group, root, m, 6,
-                                                    Tag.ACTIVATIONS))
-                     for m in members}
-            tasks[root] = lambda: gather_counted(tr, group, root, root, 6,
-                                                 Tag.ACTIVATIONS)
-            run_node_threads(tr, tasks)
-            return tr.ledger.total_sent
-
-        assert numeric() == counted()
-
-    def test_scatter_counted_smoke(self):
-        tr = SimTransport()
-        members = conv_nodes(2)
-        root = NodeId(Role.FC_WORKER, 0)
-        tr.register_all(list(members) + [root])
-        group = Group(members)
-        tasks = {m: (lambda m=m: scatter_counted(tr, group, root, m, 5,
-                                                 Tag.BOUNDARY_GRADS))
-                 for m in members}
-        tasks[root] = lambda: scatter_counted(tr, group, root, root, 5,
-                                              Tag.BOUNDARY_GRADS)
-        run_node_threads(tr, tasks)
-        assert tr.ledger.tag_payload_bytes[Tag.BOUNDARY_GRADS] == 2 * 5 * 4
 
 
 class TestGroup:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from stanza.harness import (CompareReport, ExperimentConfig, MismatchedConfigs,
-                            NonFinite, RunReport, bench_constants, class_count,
+                            NonFinite, RunReport, _exact_div,
+                            _iteration_seconds, bench_constants, class_count,
                             compare, dataset_batches, execute,
                             gaussian_batches, load_experiment_file,
                             parse_experiment_text, resolve_model, run,
@@ -15,6 +16,9 @@ from stanza.model_partition import (ConfigError, NoFcLayer, NotExecutable,
                                     builtin_model, executable_spec, tiny_cnn)
 from stanza.perf_model import Infeasible
 from stanza.tensor_core import Conv2d, Flatten, MaxPool2d, ReLU
+from stanza.transport import (LedgerInvariant, NetConfig, NodeId, PhaseRecord,
+                              Role, SimTransport, Tag, TrafficLedger,
+                              counted_message)
 
 from trainers import max_param_dev, reference_train
 
@@ -426,3 +430,28 @@ class TestBenchConstants:
             bench_constants(TINY, reps=0)
         with pytest.raises(NotExecutable):
             bench_constants(builtin_model("alexnet"))
+
+
+class TestLedgerInvariant:
+    def test_is_an_assertion_error(self):
+        assert issubclass(LedgerInvariant, AssertionError)
+
+    def test_phases_not_divisible_into_iterations(self):
+        ledger = TrafficLedger()
+        ledger.phases = [PhaseRecord("update", 0.0, 0, 0)] * 3
+        with pytest.raises(LedgerInvariant):
+            _iteration_seconds(ledger, 2)
+
+    def test_bytes_not_divisible(self):
+        with pytest.raises(LedgerInvariant):
+            _exact_div(7, 2, "wire bytes")
+
+    def test_bytes_not_conserved(self):
+        tr = SimTransport(NetConfig())
+        a, b = NodeId(Role.CONV_WORKER, 0), NodeId(Role.FC_WORKER, 0)
+        tr.register_all([a, b])
+        tr.send(counted_message(a, b, Tag.ACTIVATIONS, 3))
+        tr.ledger.assert_conserved()
+        tr.ledger.node_received[b] -= 1
+        with pytest.raises(LedgerInvariant):
+            tr.ledger.assert_conserved()

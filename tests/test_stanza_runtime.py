@@ -9,12 +9,11 @@ from stanza.checkpointing import param_digest, state_from_bytes
 from stanza.model_partition import (ConfigError, builtin_model, tiny_cnn,
                                     tiny_mlp)
 from stanza.ps_runtime import PsCluster
-from stanza.stanza_runtime import (MissingSource, StanzaCluster,
-                                   collect_group_activations, plan_groups,
+from stanza.stanza_runtime import (MissingSource, StanzaCluster, plan_groups,
                                    stanza_traffic)
 from stanza.tensor_core import CorruptCheckpoint
-from stanza.transport import (ClusterShutDown, NetConfig, NodeId, Role,
-                              SimTransport, Tag)
+from stanza.transport import (ClusterShutDown, NetConfig, Role, SimTransport,
+                              Tag)
 
 from trainers import (LR, MU, make_batch_fn, max_param_dev, reference_train)
 
@@ -148,14 +147,19 @@ class TestCheckpointing:
 
 
 class TestMissingSource:
-    def test_absent_activation_source(self):
-        tr = SimTransport(NetConfig(default_timeout=0.05))
-        fc = NodeId(Role.FC_WORKER, 0)
-        conv = NodeId(Role.CONV_WORKER, 0)
-        tr.register_all([fc, conv])
+    def test_absent_activation_source(self, monkeypatch):
+        send = SimTransport.send
+
+        def lossy_send(tr, msg):
+            if msg.tag is not Tag.ACTIVATIONS:
+                send(tr, msg)
+
+        monkeypatch.setattr(SimTransport, "send", lossy_send)
+        start = time.monotonic()
         with pytest.raises(MissingSource):
-            collect_group_activations(tr, fc, [conv], iteration=0,
-                                      timeout=0.05)
+            stanza_traffic(tiny_cnn(), n_conv=2, n_fc=1,
+                           net=NetConfig(default_timeout=60.0))
+        assert time.monotonic() - start < 1.0
 
     def test_dropped_activations_fail_fast(self):
         spec = tiny_cnn()
