@@ -8,13 +8,12 @@ to fold the surplus members in and fan the result back out.
 
 import numpy as np
 
-from stanza.collectives import Group, allreduce_sum, round_count
-from stanza.transport import (NetConfig, NodeId, Role, SimTransport,
-                              run_node_threads)
+from stanza.collectives import Group, allreduce_group, round_count
+from stanza.transport import NodeId, Role, SimTransport
 
 
 def run_group(n, elements=4096):
-    tr = SimTransport(NetConfig(default_timeout=20.0))
+    tr = SimTransport()
     nodes = tuple(NodeId(Role.CONV_WORKER, i) for i in range(n))
     tr.register_all(nodes)
     group = Group(nodes)
@@ -22,11 +21,8 @@ def run_group(n, elements=4096):
     # integer payloads so float32 addition is exact in any order
     values = {m: rng.integers(-50, 51, size=elements).astype(np.float32)
               for m in nodes}
-    tasks = {m: (lambda m=m: allreduce_sum(tr, group, m, values[m]))
-             for m in nodes}
-    tr.begin_phase("allreduce")
-    results = run_node_threads(tr, tasks)
-    tr.end_phase()
+    with tr.phase("allreduce"):
+        results = allreduce_group(tr, group, values)
 
     oracle = np.sum(np.stack(list(values.values())), axis=0,
                     dtype=np.float32)

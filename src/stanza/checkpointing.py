@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import (CorruptCheckpoint, deserialize_params,
-                          serialize_params)
+from .tensor_core import (CorruptCheckpoint, check_same_structure,
+                          deserialize_params, seeded_init, serialize_params)
 
 _MAGIC = b"STZC"
 _VERSION = 1
@@ -34,6 +34,20 @@ class TrainState:
             params=[[t.copy() for t in layer] for layer in self.params],
             velocities=[[t.copy() for t in layer] for layer in self.velocities],
         )
+
+
+def start_state(layers, seed: int, state: TrainState | None) -> TrainState:
+    """Where a cluster starts: the seeded init at iteration 0 with zero
+    velocities, or `state` once its shapes match the model's (ShapeMismatch
+    otherwise). Not copied: each cluster copies it into its replicas."""
+    params = seeded_init(layers, seed)
+    if state is None:
+        return TrainState(iteration=0, params=params,
+                          velocities=[[np.zeros_like(t) for t in layer]
+                                      for layer in params])
+    check_same_structure(params, state.params, "snapshot parameters")
+    check_same_structure(params, state.velocities, "snapshot velocities")
+    return state
 
 
 def param_digest(params) -> str:

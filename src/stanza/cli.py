@@ -25,7 +25,7 @@ from .harness import (ExperimentConfig, MismatchedConfigs, NonFinite,
                       bench_constants, compare, load_experiment_file,
                       resolve_model, run)
 from .model_partition import (BadBoundary, ConfigError, NoConvBlock,
-                              NoFcLayer, NotExecutable, mlp_split, split)
+                              NoFcLayer, NotExecutable, split)
 from .perf_model import (Infeasible, PerfConstants, assign_nodes, assign_ps,
                          format_constants_text, load_constants_file,
                          ps_iter_time, stanza_iter_time)
@@ -81,14 +81,20 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             if required not in overrides:
                 raise ConfigError(f"--{required} is required without --config")
         config = ExperimentConfig(**overrides)
+    return _env_seeded(config)
+
+
+def _env_seeded(config: ExperimentConfig) -> ExperimentConfig:
+    """config with its seed replaced by STANZA_SEED, when that is set."""
     env_seed = os.environ.get("STANZA_SEED")
-    if env_seed is not None:
-        try:
-            config = dataclasses.replace(config, seed=int(env_seed))
-        except ValueError:
-            raise ConfigError(f"STANZA_SEED={env_seed!r} is not an integer"
-                              ) from None
-    return config
+    if env_seed is None:
+        return config
+    try:
+        seed = int(env_seed)
+    except ValueError:
+        raise ConfigError(f"STANZA_SEED={env_seed!r} is not an integer"
+                          ) from None
+    return dataclasses.replace(config, seed=seed)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -130,18 +136,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                                   servers=args.servers, **shared)
         st_cfg = ExperimentConfig(mode="stanza", workers=first,
                                   fc_workers=args.fc_workers, **shared)
-    env_seed = os.environ.get("STANZA_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"STANZA_SEED={env_seed!r} is not an integer"
-                              ) from None
-        ps_cfg = dataclasses.replace(ps_cfg, seed=seed)
-        st_cfg = dataclasses.replace(st_cfg, seed=seed)
-
-    report = compare(ps_cfg, st_cfg, worker_counts=args.workers,
-                     out_dir=args.out, stem=args.stem)
+    report = compare(_env_seeded(ps_cfg), _env_seeded(st_cfg),
+                     worker_counts=args.workers, out_dir=args.out,
+                     stem=args.stem)
     print(f"{report.model}, batch {report.batch_k}, "
           f"{report.iterations} iterations")
     print(f"{'workers':>8} {'speedup':>10} {'fc-data':>10} {'total-data':>11}")
@@ -163,8 +160,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                                             bandwidth=args.bandwidth)
     else:
         constants = PerfConstants(bandwidth=args.bandwidth or 10e9)
-    part = (mlp_split(spec, args.boundary) if args.boundary is not None
-            else split(spec))
+    part = split(spec, args.boundary)
     if args.mode == "ps":
         picked = assign_ps(part.conv_params + part.fc_params, spec.batch_k,
                            args.nodes, constants)

@@ -42,7 +42,7 @@ import numpy as np
 from .checkpointing import TrainState, param_digest
 from .model_partition import (BadBoundary, ConfigError, ModelSpec, NoConvBlock,
                               NoFcLayer, builtin_model, load_model_file,
-                              mlp_split, parse_kv_text, split)
+                              parse_kv_text, split)
 from .perf_model import PerfConstants, assign_nodes, assign_ps
 from .ps_runtime import PsCluster, ps_traffic
 from .stanza_runtime import StanzaCluster, stanza_traffic
@@ -330,13 +330,9 @@ def _load_spec(config: ExperimentConfig) -> ModelSpec:
     return resolve_model(config.model, config.batch_k)
 
 
-def _partition(spec: ModelSpec, boundary: int | None):
-    return mlp_split(spec, boundary) if boundary is not None else split(spec)
-
-
 def _try_fc_params(spec: ModelSpec, boundary: int | None) -> int | None:
     try:
-        return _partition(spec, boundary).fc_params
+        return split(spec, boundary).fc_params
     except (NoConvBlock, NoFcLayer, BadBoundary):
         return None
 
@@ -347,7 +343,7 @@ def _split_counts(config: ExperimentConfig, spec: ModelSpec) -> tuple[int, int]:
         return (config.workers if config.workers is not None else 1, 0)
     if config.nodes is not None:
         c = config.constants()
-        part = _partition(spec, config.boundary)
+        part = split(spec, config.boundary)
         if config.mode == "ps":
             picked = assign_ps(part.conv_params + part.fc_params,
                                spec.batch_k, config.nodes, c)
@@ -670,7 +666,7 @@ def bench_constants(spec: ModelSpec, *, reps: int = 5, bandwidth: float = 10e9,
     """
     if reps < 1:
         raise ConfigError("reps must be at least 1")
-    part = _partition(spec, boundary)
+    part = split(spec, boundary)
     layers = spec.require_layers()
     cut = part.split_index
     params = seeded_init(layers, seed)

@@ -141,14 +141,18 @@ def _boundary_count(spec: ModelSpec, split_index: int) -> int:
     return int(np.prod(shape))
 
 
-def split(spec: ModelSpec) -> Partition:
+def split(spec: ModelSpec, boundary: int | None = None) -> Partition:
     """Separate the model at the last pooling/flatten stage before the FC stack.
 
     The front block ends at the last MaxPool2d or Flatten that precedes the
     first FullyConnected layer, so the boundary payload is the (flattened)
     activation of the final pooling stage. Raises NoFcLayer / NoConvBlock when
-    the model has no FC stack or nothing in front of it.
+    the model has no FC stack or nothing in front of it. An explicit
+    `boundary` layer index cuts there instead, through mlp_split; every
+    caller picks its cut here.
     """
+    if boundary is not None:
+        return mlp_split(spec, boundary)
     if spec.is_profile:
         fc = spec.params_total - spec.params_conv
         return Partition(spec=spec, split_index=None,

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model_partition import ConfigError, Partition, parse_kv_text
+from .ps_runtime import check_ps_shape
+from .stanza_runtime import check_stanza_shape
 
 
 class Infeasible(ValueError):
@@ -75,15 +77,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _check_pair(n_conv: int, n_fc: int) -> None:
-    if n_conv < 1 or n_fc < 1:
-        raise ConfigError("need at least one CONV and one FC worker, got "
-                          f"n_conv={n_conv} n_fc={n_fc}")
-    if n_fc > n_conv:
-        raise ConfigError(f"more FC workers ({n_fc}) than CONV workers "
-                          f"({n_conv}) leaves some idle")
-
-
 def stanza_iter_time(part: Partition, n_conv: int, n_fc: int,
                      c: PerfConstants) -> float:
     """Modeled seconds per layer-separated iteration.
@@ -92,7 +85,7 @@ def stanza_iter_time(part: Partition, n_conv: int, n_fc: int,
     two concurrent gradient allreduces. g = ceil(n_conv/n_fc) is the largest
     number of CONV batches any FC worker serves.
     """
-    _check_pair(n_conv, n_fc)
+    check_stanza_shape(n_conv, n_fc)
     g = _ceil_div(n_conv, n_fc)
     ak_bits = part.boundary_activations * part.spec.batch_k * BITS_PER_ELEMENT
     transfer = 2 * g * ak_bits
@@ -116,9 +109,7 @@ def ps_iter_time(params_total: int, n_workers: int, n_servers: int,
     Push and pull each cost the busier of one full gradient set leaving a
     worker and n_workers shards crossing the busiest server's link.
     """
-    if n_workers < 1 or n_servers < 1:
-        raise ConfigError("need at least one worker and one server, got "
-                          f"n_workers={n_workers} n_servers={n_servers}")
+    check_ps_shape(n_workers, n_servers)
     shard = _ceil_div(params_total, n_servers)
     window_bits = max(params_total, n_workers * shard) * BITS_PER_ELEMENT
     return 2 * window_bits / c.bandwidth + c.ps_compute_time

@@ -21,18 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpointing import TrainState
+from .checkpointing import TrainState, start_state
 from .model_partition import ConfigError, ModelSpec
 from .tensor_core import (OptimizerState, ShapeMismatch, block_backward,
-                          block_forward, check_same_structure, flatten_params,
-                          param_index_pairs, param_shapes, rebuild_params,
-                          seeded_init, sgd_step)
+                          block_forward, flatten_params, param_index_pairs,
+                          param_shapes, rebuild_params, sgd_step)
 from .transport import (NetConfig, NodeId, Role, SimTransport, Tag,
                         payload_message)
 
 
 class PushOutOfOrder(RuntimeError):
     """A server received a worker's gradient pushes out of sending order."""
+
+
+def check_ps_shape(n_workers: int, n_servers: int) -> None:
+    """ConfigError unless there is at least one worker and one server."""
+    if n_workers < 1 or n_servers < 1:
+        raise ConfigError("need at least one worker and one server, got "
+                          f"n_workers={n_workers} n_servers={n_servers}")
 
 
 def equal_split(total: int, parts: int) -> list[int]:
@@ -143,9 +149,7 @@ class PsCluster:
                  batch_fn, lr: float, momentum: float = 0.9,
                  compute_time: float = 0.0, net: NetConfig | None = None,
                  seed: int = 0, state: TrainState | None = None):
-        if n_workers < 1 or n_servers < 1:
-            raise ConfigError("need at least one worker and one server, got "
-                              f"n_workers={n_workers} n_servers={n_servers}")
+        check_ps_shape(n_workers, n_servers)
         if lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.spec = spec
@@ -155,21 +159,11 @@ class PsCluster:
         self.n_workers = n_workers
         self.n_servers = n_servers
 
-        if state is None:
-            params0 = seeded_init(self.layers, seed)
-            vel0 = [[np.zeros_like(t) for t in layer] for layer in params0]
-            self.iteration = 0
-        else:
-            reference = seeded_init(self.layers, seed)
-            check_same_structure(reference, state.params, "snapshot parameters")
-            check_same_structure(reference, state.velocities, "snapshot velocities")
-            params0 = [[t.copy() for t in layer] for layer in state.params]
-            vel0 = [[t.copy() for t in layer] for layer in state.velocities]
-            self.iteration = state.iteration
-
-        self._pairs = param_index_pairs(params0)
-        flat0 = flatten_params(params0)
-        flat_vel0 = flatten_params(vel0)
+        start = start_state(self.layers, seed, state)
+        self.iteration = start.iteration
+        self._pairs = param_index_pairs(start.params)
+        flat0 = flatten_params(start.params)
+        flat_vel0 = flatten_params(start.velocities)
         self.shard_map = ShardMap.balance([t.size for t in flat0], n_servers)
 
         self.transport = SimTransport(net)
@@ -178,7 +172,7 @@ class PsCluster:
         self.transport.register_all(self.worker_ids + self.server_ids)
 
         self.worker_params = {
-            w: [[t.copy() for t in layer] for layer in params0]
+            w: [[t.copy() for t in layer] for layer in start.params]
             for w in self.worker_ids
         }
         # the servers' tensors by flat tensor id; each server steps the ones
@@ -226,19 +220,17 @@ class PsCluster:
         return grads, loss_sum
 
     def _update_phase(self, pushes) -> None:
-        tr = self.transport
-        tr.begin_phase("update")
         n = self.n_workers * self.spec.batch_k
-        for owned, opt in zip(self._owned, self._shard_opt):
-            grads_nested = []
-            for tid in owned:
-                acc = pushes[(0, tid)].copy()
-                for w_idx in range(1, self.n_workers):
-                    acc += pushes[(w_idx, tid)]
-                grads_nested.append([acc])
-            sgd_step([[self._server_params[tid]] for tid in owned],
-                     grads_nested, n, opt)
-        tr.end_phase()
+        with self.transport.phase("update"):
+            for owned, opt in zip(self._owned, self._shard_opt):
+                grads_nested = []
+                for tid in owned:
+                    acc = pushes[(0, tid)].copy()
+                    for w_idx in range(1, self.n_workers):
+                        acc += pushes[(w_idx, tid)]
+                    grads_nested.append([acc])
+                sgd_step([[self._server_params[tid]] for tid in owned],
+                         grads_nested, n, opt)
 
     def train(self, iterations: int) -> PsResult:
         """Run `iterations` more iterations; may be called repeatedly."""
@@ -270,9 +262,7 @@ def ps_traffic(spec: ModelSpec, *, n_workers: int, n_servers: int,
     worker-server pair exchanges one message per direction carrying that
     server's whole shard.
     """
-    if n_workers < 1 or n_servers < 1:
-        raise ConfigError("need at least one worker and one server, got "
-                          f"n_workers={n_workers} n_servers={n_servers}")
+    check_ps_shape(n_workers, n_servers)
     if spec.is_profile:
         shard_elems = equal_split(spec.params_total, n_servers)
     else:
@@ -294,7 +284,7 @@ def ps_traffic(spec: ModelSpec, *, n_workers: int, n_servers: int,
         tr.advance_compute(compute_time, "compute")
         _push_phase(tr, workers, servers, items, it,
                     dict.fromkeys(workers, shards))
-        tr.begin_phase("update")
-        tr.end_phase()
+        with tr.phase("update"):
+            pass
         _pull_phase(tr, workers, servers, items, it, shards)
     return tr

@@ -33,14 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpointing import TrainState, state_to_bytes
+from .checkpointing import TrainState, start_state, state_to_bytes
 from .collectives import Group, allreduce_group
-from .model_partition import (ConfigError, ModelSpec, Partition, mlp_split,
-                              split)
+from .model_partition import ConfigError, ModelSpec, Partition, split
 from .ps_runtime import equal_split
 from .tensor_core import (OptimizerState, ShapeMismatch, block_backward,
-                          block_forward, check_same_structure, pack_vector,
-                          seeded_init, sgd_step, unpack_vector)
+                          block_forward, pack_vector, sgd_step, unpack_vector)
 from .transport import (Message, NetConfig, NodeId, Role, SimTransport, Tag,
                         Timeout, payload_message)
 
@@ -49,17 +47,22 @@ class MissingSource(Timeout):
     """An expected upstream node never delivered its payload."""
 
 
-def plan_groups(n_conv: int, n_fc: int) -> list[int]:
-    """Contiguous, near-equal assignment of CONV workers to FC workers.
-
-    Returns conv_to_fc: the FC worker index serving each CONV worker.
-    """
+def check_stanza_shape(n_conv: int, n_fc: int) -> None:
+    """ConfigError unless every FC worker serves at least one CONV worker."""
     if n_conv < 1 or n_fc < 1:
         raise ConfigError("need at least one CONV and one FC worker, got "
                           f"n_conv={n_conv} n_fc={n_fc}")
     if n_fc > n_conv:
         raise ConfigError(f"more FC workers ({n_fc}) than CONV workers "
                           f"({n_conv}) leaves some idle")
+
+
+def plan_groups(n_conv: int, n_fc: int) -> list[int]:
+    """Contiguous, near-equal assignment of CONV workers to FC workers.
+
+    Returns conv_to_fc: the FC worker index serving each CONV worker.
+    """
+    check_stanza_shape(n_conv, n_fc)
     sizes = equal_split(n_conv, n_fc)
     conv_to_fc = []
     for j, size in enumerate(sizes):
@@ -196,8 +199,7 @@ class StanzaCluster:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.spec = spec
         self.layers = spec.require_layers()
-        self.partition: Partition = (mlp_split(spec, boundary)
-                                     if boundary is not None else split(spec))
+        self.partition: Partition = split(spec, boundary)
         self.batch_fn = batch_fn
         self.conv_time = float(conv_time)
         self.fc_unit_time = float(fc_unit_time)
@@ -207,20 +209,8 @@ class StanzaCluster:
         self.layout = Layout.plan(n_conv, n_fc)
 
         cut = self.partition.split_index
-        if state is None:
-            full0 = seeded_init(self.layers, seed)
-            vel0 = [[np.zeros_like(t) for t in layer] for layer in full0]
-            self.iteration = 0
-        else:
-            reference = seeded_init(self.layers, seed)
-            check_same_structure(reference, state.params,
-                                 "snapshot parameters")
-            check_same_structure(reference, state.velocities,
-                                 "snapshot velocities")
-            full0 = [[t.copy() for t in layer] for layer in state.params]
-            vel0 = [[t.copy() for t in layer] for layer in state.velocities]
-            self.iteration = state.iteration
-
+        start = start_state(self.layers, seed, state)
+        self.iteration = start.iteration
         self.conv_ids = self.layout.conv_ids
         self.fc_ids = self.layout.fc_ids
         self.transport = SimTransport(net)
@@ -229,16 +219,17 @@ class StanzaCluster:
         def copy_block(nested, lo, hi):
             return [[t.copy() for t in layer] for layer in nested[lo:hi]]
 
-        self.conv_params = {c: copy_block(full0, 0, cut)
+        self.conv_params = {c: copy_block(start.params, 0, cut)
                             for c in self.conv_ids}
-        self.fc_params = {f: copy_block(full0, cut, len(self.layers))
+        self.fc_params = {f: copy_block(start.params, cut, len(self.layers))
                           for f in self.fc_ids}
-        self.conv_opt = {c: OptimizerState(lr=lr, momentum=momentum,
-                                           velocity=copy_block(vel0, 0, cut))
-                         for c in self.conv_ids}
+        self.conv_opt = {c: OptimizerState(
+            lr=lr, momentum=momentum,
+            velocity=copy_block(start.velocities, 0, cut))
+            for c in self.conv_ids}
         self.fc_opt = {f: OptimizerState(
             lr=lr, momentum=momentum,
-            velocity=copy_block(vel0, cut, len(self.layers)))
+            velocity=copy_block(start.velocities, cut, len(self.layers)))
             for f in self.fc_ids}
         self.replica_snapshots: dict[NodeId, bytes] = {}
 
@@ -317,16 +308,14 @@ class StanzaCluster:
         return fc_grads, boundary, loss_sum
 
     def _update_phase(self, conv_sums, fc_sums):
-        tr = self.transport
-        tr.begin_phase("update")
         n = self.n_conv * self.spec.batch_k
-        for c in self.conv_ids:
-            grads = unpack_vector(conv_sums[c], self.conv_params[c])
-            sgd_step(self.conv_params[c], grads, n, self.conv_opt[c])
-        for f in self.fc_ids:
-            grads = unpack_vector(fc_sums[f], self.fc_params[f])
-            sgd_step(self.fc_params[f], grads, n, self.fc_opt[f])
-        tr.end_phase()
+        with self.transport.phase("update"):
+            for c in self.conv_ids:
+                grads = unpack_vector(conv_sums[c], self.conv_params[c])
+                sgd_step(self.conv_params[c], grads, n, self.conv_opt[c])
+            for f in self.fc_ids:
+                grads = unpack_vector(fc_sums[f], self.fc_params[f])
+                sgd_step(self.fc_params[f], grads, n, self.fc_opt[f])
 
     def train(self, iterations: int) -> StanzaResult:
         """Run `iterations` more iterations; may be called repeatedly."""
@@ -367,8 +356,7 @@ def stanza_traffic(spec: ModelSpec, *, n_conv: int, n_fc: int,
     labels: the closed-form model has no label term, and this keeps the
     simulated clock exactly equal to it.
     """
-    partition = (mlp_split(spec, boundary) if boundary is not None
-                 else split(spec))
+    partition = split(spec, boundary)
     layout = Layout.plan(n_conv, n_fc)
     tr = SimTransport(net)
     tr.register_all(layout.conv_ids + layout.fc_ids)
@@ -382,6 +370,6 @@ def stanza_traffic(spec: ModelSpec, *, n_conv: int, n_fc: int,
         tr.advance_compute(layout.max_group * fc_unit_time, "fc_compute")
         _boundary_phase(tr, layout, it, a_k)
         _exchange_phase(tr, layout, it, seed, conv_params, fc_params)
-        tr.begin_phase("update")
-        tr.end_phase()
+        with tr.phase("update"):
+            pass
     return tr

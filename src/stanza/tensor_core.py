@@ -74,10 +74,6 @@ LayerKind = Union[Conv2d, MaxPool2d, Flatten, FullyConnected, ReLU,
                   SoftmaxCrossEntropy]
 
 
-def has_params(layer: LayerKind) -> bool:
-    return isinstance(layer, (Conv2d, FullyConnected))
-
-
 def param_shapes(layer: LayerKind) -> list[tuple[int, ...]]:
     """Shapes of the layer's parameter tensors (weight first, then bias)."""
     if isinstance(layer, Conv2d):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from stanza.checkpointing import load_state, param_digest, save_state
-from stanza.collectives import Group, allreduce_sum, round_count
+from stanza.collectives import Group, allreduce_group, round_count
 from stanza.harness import ExperimentConfig, bench_constants, compare, execute
 from stanza.model_partition import builtin_model, split, tiny_cnn
 from stanza.perf_model import (PerfConstants, assign_nodes, assign_ps,
@@ -23,7 +23,6 @@ from stanza.stanza_runtime import StanzaCluster, stanza_traffic
 from stanza.tensor_core import (Conv2d, Flatten, FullyConnected, MaxPool2d,
                                 ReLU, SoftmaxCrossEntropy, seeded_init)
 from stanza.transport import NetConfig, NodeId, Role, SimTransport, Tag
-from stanza.transport import run_node_threads
 
 from oracles import best_split_reference
 from test_tensor_core import check_grads
@@ -44,7 +43,7 @@ def test_allreduce_exact_sums_and_round_counts():
     t0 = time.perf_counter()
     worst_n = None
     for n in range(2, 34):
-        tr = SimTransport(NetConfig(default_timeout=20.0))
+        tr = SimTransport()
         nodes = tuple(NodeId(Role.CONV_WORKER, i) for i in range(n))
         tr.register_all(nodes)
         group = Group(nodes)
@@ -53,9 +52,8 @@ def test_allreduce_exact_sums_and_round_counts():
         # direct sum is THE answer, not one of several rounding outcomes
         values = {m: rng.integers(-8, 9, size=1024).astype(np.float32)
                   for m in nodes}
-        tasks = {m: (lambda m=m: allreduce_sum(tr, group, m, values[m]))
-                 for m in nodes}
-        results = run_node_threads(tr, tasks)
+        with tr.phase("allreduce"):
+            results = allreduce_group(tr, group, values)
         oracle = np.sum(np.stack([values[m] for m in nodes]), axis=0,
                         dtype=np.float32)
         for m in nodes:

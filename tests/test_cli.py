@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from stanza import cli
 from stanza.cli import main
 from stanza.perf_model import load_constants_file
 
@@ -68,6 +69,19 @@ class TestRunCommand:
         direct = (tmp_path / "direct.json").read_text()
         via_env = (tmp_path / "env.json").read_text()
         assert direct == via_env
+        # compare reports carry no seed, so watch the configs it is handed
+        seeds = []
+        real_compare = cli.compare
+
+        def spy(ps_cfg, st_cfg, **kw):
+            seeds.append((ps_cfg.seed, st_cfg.seed))
+            return real_compare(ps_cfg, st_cfg, **kw)
+
+        monkeypatch.setattr(cli, "compare", spy)
+        code, _, _ = run_cli(["compare", "--model", "tiny_cnn", "--seed", "1",
+                              "--iterations", "1", "--workers", "2"], capsys)
+        assert code == 0
+        assert seeds == [(123, 123)]
 
     def test_bad_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("STANZA_SEED", "lucky")
@@ -75,6 +89,11 @@ class TestRunCommand:
                                 "tiny_cnn", "--seed", "1",
                                 "--iterations", "1"], capsys)
         assert code == 2
+        code, _, err = run_cli(["compare", "--model", "tiny_cnn", "--seed",
+                                "1", "--iterations", "1", "--workers", "2"],
+                               capsys)
+        assert code == 2
+        assert "STANZA_SEED='lucky' is not an integer" in err
 
 
 class TestCompareCommand:

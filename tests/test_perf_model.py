@@ -15,8 +15,8 @@ from stanza.perf_model import (Infeasible, PerfConstants, assign_nodes,
                                ps_throughput, speedup, stanza_iter_time,
                                stanza_throughput, v100_class_constants,
                                window)
-from stanza.ps_runtime import ps_traffic
-from stanza.stanza_runtime import stanza_traffic
+from stanza.ps_runtime import PsCluster, ps_traffic
+from stanza.stanza_runtime import StanzaCluster, stanza_traffic
 from stanza.transport import NetConfig
 
 ALEX = split(builtin_model("alexnet"))
@@ -66,10 +66,20 @@ class TestStanzaIterTime:
         assert rel_err(t, 2 * 9216 * 128 * 32 / 10e9) <= 1e-12
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ConfigError):
-            stanza_iter_time(ALEX, 0, 1, ZERO)
-        with pytest.raises(ConfigError):
-            stanza_iter_time(ALEX, 2, 3, ZERO)
+        """The closed form, the traffic counter and the cluster reject each
+        shape with one and the same message."""
+        spec = tiny_cnn()
+        for n_conv, n_fc in [(0, 1), (1, 0), (2, 3)]:
+            messages = set()
+            for attempt in (
+                    lambda: stanza_iter_time(ALEX, n_conv, n_fc, ZERO),
+                    lambda: stanza_traffic(spec, n_conv=n_conv, n_fc=n_fc),
+                    lambda: StanzaCluster(spec, n_conv=n_conv, n_fc=n_fc,
+                                          batch_fn=None, lr=0.1)):
+                with pytest.raises(ConfigError) as exc:
+                    attempt()
+                messages.add(str(exc.value))
+            assert len(messages) == 1, messages
 
 
 class TestStanzaThroughput:
@@ -113,10 +123,23 @@ class TestPsModel:
         assert 256 < ps_throughput(ALEX_PARAMS, 128, 4, 1, c) < 258
 
     def test_rejects_empty_sides(self):
-        with pytest.raises(ConfigError):
-            ps_iter_time(ALEX_PARAMS, 0, 1, ZERO)
-        with pytest.raises(ConfigError):
-            ps_iter_time(ALEX_PARAMS, 1, 0, ZERO)
+        """The closed form, the traffic counter and the cluster reject each
+        shape with one and the same message."""
+        spec = tiny_cnn()
+        for n_workers, n_servers in [(0, 1), (1, 0)]:
+            messages = set()
+            for attempt in (
+                    lambda: ps_iter_time(ALEX_PARAMS, n_workers, n_servers,
+                                         ZERO),
+                    lambda: ps_traffic(spec, n_workers=n_workers,
+                                       n_servers=n_servers),
+                    lambda: PsCluster(spec, n_workers=n_workers,
+                                      n_servers=n_servers, batch_fn=None,
+                                      lr=0.1)):
+                with pytest.raises(ConfigError) as exc:
+                    attempt()
+                messages.add(str(exc.value))
+            assert len(messages) == 1, messages
 
 
 class TestModelMatchesSimulation:

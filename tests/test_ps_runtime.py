@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from stanza import ps_runtime
 from stanza.checkpointing import param_digest, state_from_bytes, state_to_bytes
 from stanza.model_partition import ConfigError, tiny_cnn
 from stanza.ps_runtime import (PsCluster, PushOutOfOrder, ShardMap, equal_split,
                                ps_traffic)
 from stanza.tensor_core import ShapeMismatch
-from stanza.transport import (HEADER_BYTES, NetConfig, Tag)
+from stanza.transport import (HEADER_BYTES, ClusterShutDown, NetConfig, Tag)
 
 from trainers import (LR, MU, make_batch_fn, max_param_dev, reference_train)
 
@@ -139,6 +140,26 @@ class TestTraining:
         with pytest.raises(PushOutOfOrder):
             cluster.train(1)
 
+    def test_failed_update_shuts_down(self, monkeypatch):
+        spec = tiny_cnn()
+        cluster = PsCluster(spec, n_workers=2, n_servers=2,
+                            batch_fn=make_batch_fn(spec, 7), lr=LR, seed=3)
+        step = ps_runtime.sgd_step
+        failed = []
+
+        def step_failing_once(*args):
+            if not failed:
+                failed.append(True)
+                raise FloatingPointError("injected")
+            return step(*args)
+
+        monkeypatch.setattr(ps_runtime, "sgd_step", step_failing_once)
+        with pytest.raises(FloatingPointError):
+            cluster.train(1)
+        # the half-applied step is never trained on
+        with pytest.raises(ClusterShutDown):
+            cluster.train(1)
+
     def test_rejects_wrong_batch_size(self):
         spec = tiny_cnn()
 
@@ -164,11 +185,14 @@ class TestCheckpointing:
         first = PsCluster(spec, **kw)
         first.train(5)
         blob = state_to_bytes(first.state())
-        resumed = PsCluster(spec, **kw, state=state_from_bytes(blob))
+        state = state_from_bytes(blob)
+        resumed = PsCluster(spec, **kw, state=state)
         assert resumed.iteration == 5
         result = resumed.train(5)
         assert param_digest(result.state.params) == \
             param_digest(whole.state.params)
+        # the cluster trained on its own copies, not on the snapshot
+        assert state_to_bytes(state) == blob
 
     def test_snapshot_shape_mismatch_rejected(self):
         spec = tiny_cnn()

@@ -5,13 +5,14 @@ import time
 import numpy as np
 import pytest
 
+from stanza import stanza_runtime
 from stanza.checkpointing import param_digest, state_from_bytes
 from stanza.model_partition import (ConfigError, builtin_model, tiny_cnn,
                                     tiny_mlp)
 from stanza.ps_runtime import PsCluster
 from stanza.stanza_runtime import (MissingSource, StanzaCluster, plan_groups,
                                    stanza_traffic)
-from stanza.tensor_core import CorruptCheckpoint
+from stanza.tensor_core import CorruptCheckpoint, ShapeMismatch
 from stanza.transport import (ClusterShutDown, NetConfig, Role, SimTransport,
                               Tag)
 
@@ -103,6 +104,24 @@ class TestTraining:
         with pytest.raises(ConfigError):
             make_cluster(spec, 1, 2)
 
+    def test_failed_update_shuts_down(self, monkeypatch):
+        cluster = make_cluster(tiny_cnn(), 2, 1)
+        step = stanza_runtime.sgd_step
+        failed = []
+
+        def step_failing_once(*args):
+            if not failed:
+                failed.append(True)
+                raise FloatingPointError("injected")
+            return step(*args)
+
+        monkeypatch.setattr(stanza_runtime, "sgd_step", step_failing_once)
+        with pytest.raises(FloatingPointError):
+            cluster.train(1)
+        # the half-applied step is never trained on
+        with pytest.raises(ClusterShutDown):
+            cluster.train(1)
+
 
 class TestCheckpointing:
     def test_save_restore_replay_matches_uninterrupted(self):
@@ -112,6 +131,7 @@ class TestCheckpointing:
         first = make_cluster(spec, 2, 1, data_seed=21, seed=4)
         first.train(5)
         state = first.checkpoint()
+        given = (param_digest(state.params), param_digest(state.velocities))
         resumed = StanzaCluster(spec, n_conv=2, n_fc=1,
                                 batch_fn=make_batch_fn(spec, 21), lr=LR,
                                 momentum=MU, seed=4, state=state)
@@ -119,6 +139,16 @@ class TestCheckpointing:
         result = resumed.train(5)
         assert param_digest(result.state.params) == \
             param_digest(whole.state.params)
+        # the cluster trained on its own copies, not on the snapshot
+        assert (param_digest(state.params),
+                param_digest(state.velocities)) == given
+
+    def test_snapshot_shape_mismatch_rejected(self):
+        spec = tiny_cnn()
+        state = make_cluster(spec, 1, 1).state()
+        state.velocities[-2][1] = state.velocities[-2][1][:1]
+        with pytest.raises(ShapeMismatch):
+            make_cluster(spec, 1, 1, state=state)
 
     def test_fc_block_replicated_to_seeded_conv_worker(self):
         spec = tiny_cnn()
