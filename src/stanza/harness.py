@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpointing import TrainState, param_digest
+from .checkpointing import TrainState, param_digest, start_state
 from .model_partition import (BadBoundary, ConfigError, ModelSpec, NoConvBlock,
                               NoFcLayer, builtin_model, load_model_file,
                               parse_kv_text, split)
@@ -442,8 +442,9 @@ def _train_single(spec: ModelSpec, workers: int, iterations: int, batch_fn,
     distributed runs can be checked against this to small float tolerances.
     """
     layers = spec.require_layers()
-    params = seeded_init(layers, seed)
-    opt = OptimizerState.for_params(params, lr, momentum)
+    start = start_state(layers, seed, None)
+    params = start.params
+    opt = OptimizerState(lr=lr, momentum=momentum, velocity=start.velocities)
     n = workers * spec.batch_k
     losses = []
     for it in range(iterations):

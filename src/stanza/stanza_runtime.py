@@ -300,7 +300,7 @@ class StanzaCluster:
             out, caches = block_forward(fc_block, self.fc_params[f], x,
                                         labels=y)
             gx, grads = block_backward(fc_block, self.fc_params[f], caches,
-                                       None)
+                                       None, input_grad=True)
             fc_grads[f] = grads
             loss_sum += float(out.sum())
             for pos, c in enumerate(self.layout.served[f]):

@@ -7,8 +7,22 @@ few ulps of a monolithic pass over the same samples. Backward passes return
 gradient *sums* over the batch; division by the global batch size happens
 exactly once, inside sgd_step.
 
-Conv2d is implemented as direct loops over kernel positions (no im2col or FFT
-tricks); speed of the numeric core is a non-goal.
+Conv2d runs as patch-matrix (im2col) contractions. Each chunk of at most
+_CONV_CHUNK samples is copied once into float64 patch matrices, one per
+sample, with a row per kernel tap (c, kh, kw) and a column per output cell
+(oh, ow). Forward is one matrix product of the reshaped weight with them;
+backward builds them again from the cached padded input, contracts them with
+the output gradient for the weight gradient, and scatters weight-times-
+gradient back over the k*k taps (col2im) for the input gradient. Only the
+padded input is cached, so no patch matrix outlives its chunk. float32
+products are exact in float64, so another summation order moves a sum only
+by float64 rounding: results are exact on integer-valued inputs, and move by
+at most one float32 ulp elsewhere unless a sum cancels almost to zero.
+
+backward() and block_backward() take `input_grad`. Without it the input
+gradient is neither computed nor returned (it comes back as None); only the
+layer-separated FC step reads the gradient at a block's input, so
+block_backward leaves it off by default.
 """
 
 from __future__ import annotations
@@ -18,8 +32,13 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 FLOAT = np.float32
+
+# Samples per Conv2d patch-matrix chunk. At tiny_cnn's first layer 16 samples
+# take 0.9 MB of float64 patches; a whole 64-sample batch would take 3.5 MB.
+_CONV_CHUNK = 16
 
 
 class ShapeMismatch(ValueError):
@@ -146,6 +165,16 @@ def _check_batch(layer: LayerKind, x: np.ndarray, rank: int) -> None:
                             f"got shape {x.shape}")
 
 
+def _patches(xp: np.ndarray, k: int, s: int) -> np.ndarray:
+    """float64 patch matrices (n, c*k*k, oh*ow) of a padded batch: per
+    sample, row (c, kh, kw) holds that tap's input under every output cell."""
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    n, c, oh, ow = win.shape[:4]
+    cols = np.empty((n, c, k, k, oh, ow))
+    cols[...] = win.transpose(0, 1, 4, 5, 2, 3)
+    return cols.reshape(n, c * k * k, oh * ow)
+
+
 def forward(layer: LayerKind, params: Sequence[np.ndarray], x: np.ndarray,
             labels: np.ndarray | None = None):
     """Run one layer over a batch. Returns (output, cache).
@@ -166,15 +195,15 @@ def forward(layer: LayerKind, params: Sequence[np.ndarray], x: np.ndarray,
         ow = (wp - k) // s + 1
         if oh <= 0 or ow <= 0:
             raise ShapeMismatch(f"Conv2d kernel {k} too large for input {x.shape}")
-        x64 = xp.astype(np.float64)
-        w64 = w.astype(np.float64)
-        acc = np.zeros((n, layer.out_ch, oh, ow), dtype=np.float64)
-        for kh in range(k):
-            for kw in range(k):
-                patch = x64[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s]
-                acc += np.einsum("nchw,oc->nohw", patch, w64[:, :, kh, kw])
-        acc += b.astype(np.float64)[None, :, None, None]
-        return acc.astype(FLOAT), xp
+        wmat = w.reshape(layer.out_ch, -1).astype(np.float64)
+        b64 = b.astype(np.float64)[:, None]
+        out = np.empty((n, layer.out_ch, oh, ow), dtype=FLOAT)
+        rows = out.reshape(n, layer.out_ch, oh * ow)
+        for lo in range(0, n, _CONV_CHUNK):
+            y = wmat @ _patches(xp[lo:lo + _CONV_CHUNK], k, s)
+            y += b64
+            rows[lo:lo + _CONV_CHUNK] = y
+        return out, xp
 
     if isinstance(layer, MaxPool2d):
         _check_batch(layer, x, 4)
@@ -227,34 +256,45 @@ def forward(layer: LayerKind, params: Sequence[np.ndarray], x: np.ndarray,
 
 
 def backward(layer: LayerKind, params: Sequence[np.ndarray], cache,
-             gy: np.ndarray | None):
+             gy: np.ndarray | None, input_grad: bool = True):
     """Backward pass for one layer. Returns (grad_input, param_grad_list).
 
     gy is the gradient of the summed loss w.r.t. the layer output. For
     SoftmaxCrossEntropy gy is ignored (the layer is the loss head; its
     backward emits the gradient of the per-batch loss sum w.r.t. the logits).
-    Param grads are sums over the batch.
+    Param grads are sums over the batch. With input_grad False the input
+    gradient is not computed and grad_input is None.
     """
+    if not input_grad and not isinstance(layer, (Conv2d, FullyConnected)):
+        return None, []
+
     if isinstance(layer, Conv2d):
         w, _ = params
         xp = cache
         k, s, p = layer.kernel, layer.stride, layer.padding
-        _, _, hp, wp = xp.shape
+        n, c, hp, wp = xp.shape
         oh, ow = gy.shape[2], gy.shape[3]
-        g64 = gy.astype(np.float64)
-        x64 = xp.astype(np.float64)
-        w64 = w.astype(np.float64)
-        gw = np.zeros_like(w64)
-        gxp = np.zeros_like(x64)
-        for kh in range(k):
-            for kw in range(k):
-                patch = x64[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s]
-                gw[:, :, kh, kw] = np.einsum("nohw,nchw->oc", g64, patch)
-                gxp[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s] += np.einsum(
-                    "nohw,oc->nchw", g64, w64[:, :, kh, kw])
-        gb = g64.sum(axis=(0, 2, 3))
+        wmat = w.reshape(layer.out_ch, -1).astype(np.float64)
+        g64 = gy.reshape(n, layer.out_ch, oh * ow).astype(np.float64)
+        gw = np.zeros(wmat.shape)
+        gxp = np.zeros(xp.shape) if input_grad else None
+        for lo in range(0, n, _CONV_CHUNK):
+            g = g64[lo:lo + _CONV_CHUNK]
+            cols = _patches(xp[lo:lo + _CONV_CHUNK], k, s)
+            gw += (g @ cols.transpose(0, 2, 1)).sum(axis=0)
+            if input_grad:
+                gcols = (wmat.T @ g).reshape(len(g), c, k, k, oh, ow)
+                dst = gxp[lo:lo + _CONV_CHUNK]
+                for kh in range(k):
+                    for kw in range(k):
+                        dst[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s] += \
+                            gcols[:, :, kh, kw]
+        gb = g64.sum(axis=(0, 2))
+        grads = [gw.reshape(w.shape).astype(FLOAT), gb.astype(FLOAT)]
+        if not input_grad:
+            return None, grads
         gx = gxp[:, :, p:hp - p, p:wp - p] if p else gxp
-        return gx.astype(FLOAT), [gw.astype(FLOAT), gb.astype(FLOAT)]
+        return gx.astype(FLOAT), grads
 
     if isinstance(layer, MaxPool2d):
         arg, x_shape = cache
@@ -279,14 +319,16 @@ def backward(layer: LayerKind, params: Sequence[np.ndarray], cache,
         w, _ = params
         x = cache
         g64 = gy.astype(np.float64)
-        gx = g64 @ w.astype(np.float64).T
         gw = x.astype(np.float64).T @ g64
         gb = g64.sum(axis=0)
-        return gx.astype(FLOAT), [gw.astype(FLOAT), gb.astype(FLOAT)]
+        grads = [gw.astype(FLOAT), gb.astype(FLOAT)]
+        if not input_grad:
+            return None, grads
+        return (g64 @ w.astype(np.float64).T).astype(FLOAT), grads
 
     if isinstance(layer, ReLU):
         mask = cache
-        return np.where(mask, gy, 0).astype(FLOAT), []
+        return np.where(mask, gy, 0).astype(FLOAT, copy=False), []
 
     if isinstance(layer, SoftmaxCrossEntropy):
         probs, labels = cache
@@ -308,15 +350,17 @@ def block_forward(layers: Sequence[LayerKind], params: Sequence[Sequence[np.ndar
 
 
 def block_backward(layers: Sequence[LayerKind], params: Sequence[Sequence[np.ndarray]],
-                   caches, gy: np.ndarray | None):
+                   caches, gy: np.ndarray | None, input_grad: bool = False):
     """Backward through a block. Returns (grad_input, per-layer param grads).
 
     gy is the upstream gradient w.r.t. the block output; pass None when the
-    block ends with SoftmaxCrossEntropy.
+    block ends with SoftmaxCrossEntropy. grad_input is None unless
+    input_grad is set: the first layer's input gradient is skipped.
     """
     grads: list[list[np.ndarray]] = [[] for _ in layers]
     for i in range(len(layers) - 1, -1, -1):
-        gy, g = backward(layers[i], params[i], caches[i], gy)
+        gy, g = backward(layers[i], params[i], caches[i], gy,
+                         input_grad=input_grad or i > 0)
         grads[i] = g
     return gy, grads
 

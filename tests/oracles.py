@@ -2,8 +2,9 @@
 
 Nothing here imports the code paths under test beyond plain data types: the
 finite-difference gradients drive layers only through their forward pass, the
-tree-sum fold never touches the transport, and the planner oracle re-derives
-assignments by brute force from the closed-form times.
+Conv2d reference loops over kernel positions instead of building patch
+matrices, the tree-sum fold never touches the transport, and the planner
+oracle re-derives assignments by brute force from the closed-form times.
 """
 
 from __future__ import annotations
@@ -32,6 +33,43 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-8)
     return float(np.abs(a - b).max(initial=0.0) / scale)
+
+
+def conv2d_reference(layer, params, x: np.ndarray, gy: np.ndarray):
+    """Direct-loop Conv2d: one small float64 contraction per kernel position.
+
+    Returns (output, grad_input, [grad_weight, grad_bias]) as float32 for
+    input x and output gradient gy. The layout is the library's: NCHW input,
+    (out, in, k, k) weight, gradients summed over the batch.
+    """
+    w, b = params
+    p, s, k = layer.padding, layer.stride, layer.kernel
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    n, _, hp, wp = xp.shape
+    oh = (hp - k) // s + 1
+    ow = (wp - k) // s + 1
+    x64 = xp.astype(np.float64)
+    w64 = w.astype(np.float64)
+    acc = np.zeros((n, layer.out_ch, oh, ow), dtype=np.float64)
+    for kh in range(k):
+        for kw in range(k):
+            patch = x64[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s]
+            acc += np.einsum("nchw,oc->nohw", patch, w64[:, :, kh, kw])
+    acc += b.astype(np.float64)[None, :, None, None]
+
+    g64 = gy.astype(np.float64)
+    gw = np.zeros_like(w64)
+    gxp = np.zeros_like(x64)
+    for kh in range(k):
+        for kw in range(k):
+            patch = x64[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s]
+            gw[:, :, kh, kw] = np.einsum("nohw,nchw->oc", g64, patch)
+            gxp[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s] += np.einsum(
+                "nohw,oc->nchw", g64, w64[:, :, kh, kw])
+    gb = g64.sum(axis=(0, 2, 3))
+    gx = gxp[:, :, p:hp - p, p:wp - p] if p else gxp
+    return (acc.astype(np.float32), gx.astype(np.float32),
+            [gw.astype(np.float32), gb.astype(np.float32)])
 
 
 def tree_sum(values: list[np.ndarray]) -> np.ndarray:

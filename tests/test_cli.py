@@ -1,12 +1,15 @@
 """Command line front end: subcommands, flag precedence, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stanza
 from stanza import cli
 from stanza.cli import main
 from stanza.perf_model import load_constants_file
@@ -191,8 +194,13 @@ class TestBenchCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same package as the tests, installed or not
+        src = str(Path(stanza.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "stanza.cli", "plan",
                                "--model", "alexnet", "--nodes", "4"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "CONV" in proc.stdout

@@ -11,7 +11,8 @@ from stanza.tensor_core import (Conv2d, CorruptCheckpoint, Flatten,
                                 param_count, param_shapes, seeded_init,
                                 serialize_params, sgd_step)
 
-from oracles import finite_diff_grad, rel_err
+from stanza.model_partition import tiny_cnn
+from oracles import conv2d_reference, finite_diff_grad, rel_err
 
 
 def check_grads(layer, params, x, rng, labels=None, tol=1e-3, eps=1e-3):
@@ -164,9 +165,124 @@ class TestBatchSemantics:
         labels = rng.integers(0, 10, 8)
         out, caches = block_forward(layers, params, x, labels=labels)
         assert np.isfinite(out).all()
-        gx, grads = block_backward(layers, params, caches, None)
+        gx, grads = block_backward(layers, params, caches, None,
+                                   input_grad=True)
         assert np.isfinite(gx).all()
         assert all(np.isfinite(t).all() for layer in grads for t in layer)
+
+
+def conv_pair(layer, params, x, gy):
+    """(library, reference) results as flat lists: output, gx, gw, gb."""
+    y, cache = forward(layer, params, x)
+    gx, grads = backward(layer, params, cache, gy)
+    ry, rgx, rgrads = conv2d_reference(layer, params, x, gy)
+    return [y, gx] + grads, [ry, rgx] + rgrads
+
+
+def conv_inputs(layer, n, hw, draw):
+    params = [draw(shape) for shape in param_shapes(layer)]
+    x = draw((n, layer.in_ch) + hw)
+    gy = draw((n,) + out_shape(layer, x.shape[1:]))
+    return params, x, gy
+
+
+class TestConv2dAgainstReference:
+    """The patch-matrix Conv2d against the direct loop over kernel taps.
+
+    Batches 16, 17 and 64 cross the patch-matrix chunk edge."""
+
+    BATCHES = (1, 7, 16, 17, 64)
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_exact_on_integer_inputs(self, rng, kernel, stride, padding):
+        """Integer-valued float32 sums are exact in float64 in any order."""
+        layer = Conv2d(3, 4, kernel, stride, padding)
+
+        def draw(shape):
+            return rng.integers(-3, 4, shape).astype(np.float32)
+
+        for n in self.BATCHES:
+            params, x, gy = conv_inputs(layer, n, (9, 8), draw)
+            for got, want in zip(*conv_pair(layer, params, x, gy)):
+                assert got.dtype == np.float32 and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kernel,stride,padding",
+                             [(3, 1, 1), (2, 2, 0), (5, 3, 2), (1, 1, 0)])
+    def test_within_one_ulp_on_gaussian_inputs(self, rng, kernel, stride,
+                                               padding):
+        layer = Conv2d(3, 5, kernel, stride, padding)
+
+        def draw(shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        for n in self.BATCHES:
+            params, x, gy = conv_inputs(layer, n, (11, 10), draw)
+            for got, want in zip(*conv_pair(layer, params, x, gy)):
+                ulp = np.maximum(np.spacing(np.abs(got)),
+                                 np.spacing(np.abs(want)))
+                assert (np.abs(got - want) <= ulp).all()
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_exact_at_tiny_cnn_shapes(self, rng, n):
+        """Gaussian data and seeded weights at the model's two Conv2d
+        shapes, where the pinned training digests run."""
+        spec = tiny_cnn()
+        layers = spec.require_layers()
+        params = seeded_init(layers, 5)
+        shape = spec.input_shape
+        for layer, p in zip(layers, params):
+            if isinstance(layer, Flatten):
+                break
+            if isinstance(layer, Conv2d):
+                x = rng.standard_normal((n,) + shape).astype(np.float32)
+                gy = rng.standard_normal(
+                    (n,) + out_shape(layer, shape)).astype(np.float32)
+                for got, want in zip(*conv_pair(layer, p, x, gy)):
+                    np.testing.assert_array_equal(got, want)
+            shape = out_shape(layer, shape)
+
+
+class TestInputGrad:
+    LAYERS = [Conv2d(2, 3, 3, 1, 1), ReLU(), MaxPool2d(2, 2), Flatten(),
+              FullyConnected(3 * 3 * 3, 8), SoftmaxCrossEntropy()]
+
+    @pytest.mark.parametrize("start", [0, 4])
+    def test_block_input_grad_only_when_asked(self, rng, start):
+        """Skipping the input gradient leaves every parameter gradient
+        bit-identical; starting at Conv2d or at FullyConnected."""
+        layers = self.LAYERS[start:]
+        params = seeded_init(layers, 6)
+        x = rng.standard_normal(
+            (5, 2, 6, 6) if start == 0 else (5, 27)).astype(np.float32)
+        labels = rng.integers(0, 8, 5)
+        _, caches = block_forward(layers, params, x, labels=labels)
+        gx_off, grads_off = block_backward(layers, params, caches, None)
+        gx_on, grads_on = block_backward(layers, params, caches, None,
+                                         input_grad=True)
+        assert gx_off is None
+        assert gx_on.shape == x.shape
+        for la, lb in zip(grads_off, grads_on):
+            assert len(la) == len(lb)
+            for a, b in zip(la, lb):
+                np.testing.assert_array_equal(a, b)
+
+    def test_single_layer_skips_input_grad(self, rng):
+        for layer in self.LAYERS[:-1]:
+            x = rng.standard_normal(
+                (4, 27) if isinstance(layer, FullyConnected)
+                else (4, 2, 6, 6)).astype(np.float32)
+            params = seeded_init([layer], 7)[0]
+            y, cache = forward(layer, params, x)
+            gy = rng.standard_normal(y.shape).astype(np.float32)
+            gx, grads = backward(layer, params, cache, gy, input_grad=False)
+            assert gx is None
+            _, want = backward(layer, params, cache, gy)
+            assert len(grads) == len(want)
+            for a, b in zip(grads, want):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestShapeChecks:
