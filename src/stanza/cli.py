@@ -4,13 +4,17 @@ Subcommands: `run` one experiment, `compare` the two protocols over a
 worker sweep, `plan` a node assignment from measured constants, and
 `bench` the compute constants on an executable model.
 
+Each ExperimentConfig field is a `run` flag spelt with dashes (`batch_k` is
+`--batch-k`) and typed as the field, like its experiment-file key; flags
+override a `--config` file. `compare` takes _COMPARE_FIELDS the same way.
+
 The STANZA_SEED environment variable, when set, overrides the seed from
 both config files and flags, so a whole scripted sweep can be re-rolled
 without editing anything.
 
-Exit codes: 0 on success, 2 for configuration errors (bad flags, bad
-config files, non-executable models), 3 when no feasible node assignment
-exists, 4 when training produced non-finite numbers.
+Exit codes: 0 on success, 2 for configuration errors (unparsable flags or
+any ConfigError), 3 when no feasible node assignment exists, 4 when
+training produced non-finite numbers.
 """
 
 from __future__ import annotations
@@ -21,61 +25,44 @@ import os
 import sys
 from pathlib import Path
 
-from .harness import (ExperimentConfig, MismatchedConfigs, NonFinite,
-                      bench_constants, compare, load_experiment_file,
-                      resolve_model, run)
-from .model_partition import (BadBoundary, ConfigError, NoConvBlock,
-                              NoFcLayer, NotExecutable, split)
+from .harness import (_DATA, _MODES, CONFIG_TYPES, ExperimentConfig,
+                      NonFinite, bench_constants, compare,
+                      load_experiment_file, resolve_model, run)
+from .model_partition import ConfigError, split
 from .perf_model import (Infeasible, PerfConstants, assign_nodes, assign_ps,
                          format_constants_text, load_constants_file,
                          ps_iter_time, stanza_iter_time)
 
-_CONFIG_ERRORS = (ConfigError, MismatchedConfigs, NotExecutable, NoFcLayer,
-                  NoConvBlock, BadBoundary, FileNotFoundError)
+_CONFIG_ERRORS = (ConfigError, FileNotFoundError)
 
-# run-command flags that map straight onto ExperimentConfig fields
-_RUN_FIELDS = ("mode", "model", "seed", "iterations", "epochs", "batch_k",
-               "workers", "servers", "fc_workers", "nodes", "bandwidth",
-               "latency", "data", "epoch_samples", "lr", "momentum",
-               "boundary", "conv_time", "fc_unit_time", "ps_compute_time",
-               "out_dir", "label")
+# ExperimentConfig fields that compare applies to both protocols' runs
+_COMPARE_FIELDS = ("model", "seed", "iterations", "epochs", "batch_k",
+                   "bandwidth", "latency", "epoch_samples", "boundary")
+_FIELD_CHOICES = {"mode": _MODES, "data": _DATA}
+_FIELD_HELP = {"model": "builtin name or model file path",
+               "nodes": "plan the split for this node budget instead of "
+                        "giving explicit counts"}
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="experiment file; flags override it")
-    p.add_argument("--mode", choices=("ps", "stanza", "single"))
-    p.add_argument("--model", help="builtin name or model file path")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-k", type=int, dest="batch_k")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--servers", type=int)
-    p.add_argument("--fc-workers", type=int, dest="fc_workers")
-    p.add_argument("--nodes", type=int,
-                   help="plan the split for this node budget instead of "
-                        "giving explicit counts")
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--latency", type=float)
-    p.add_argument("--data", choices=("gaussian", "separable"))
-    p.add_argument("--epoch-samples", type=int, dest="epoch_samples")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--boundary", type=int)
-    p.add_argument("--conv-time", type=float, dest="conv_time")
-    p.add_argument("--fc-unit-time", type=float, dest="fc_unit_time")
-    p.add_argument("--ps-compute-time", type=float, dest="ps_compute_time")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--label")
+def _add_config_flags(p: argparse.ArgumentParser, fields) -> None:
+    """One `--field-name` flag per named ExperimentConfig field."""
+    for field in fields:
+        p.add_argument(f"--{field.replace('_', '-')}", dest=field,
+                       type=CONFIG_TYPES[field],
+                       choices=_FIELD_CHOICES.get(field),
+                       help=_FIELD_HELP.get(field))
+
+
+def _given(args: argparse.Namespace, fields) -> dict:
+    """The named fields' flags that were given, by field name."""
+    return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {f: getattr(args, f) for f in _RUN_FIELDS
-                 if getattr(args, f) is not None}
+    overrides = _given(args, CONFIG_TYPES)
     if args.config is not None:
-        config = load_experiment_file(args.config)
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        config = dataclasses.replace(load_experiment_file(args.config),
+                                     **overrides)
     else:
         for required in ("mode", "model", "seed"):
             if required not in overrides:
@@ -125,12 +112,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             if getattr(args, required) is None:
                 raise ConfigError(f"--{required} is required without config "
                                   "files")
-        shared = dict(model=args.model, seed=args.seed)
-        for key in ("iterations", "epochs", "batch_k", "bandwidth", "latency",
-                    "epoch_samples", "boundary"):
-            value = getattr(args, key)
-            if value is not None:
-                shared[key] = value
+        shared = _given(args, _COMPARE_FIELDS)
         first = args.workers[0] if args.workers else 1
         ps_cfg = ExperimentConfig(mode="ps", workers=first,
                                   servers=args.servers, **shared)
@@ -200,22 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment")
-    _add_run_flags(p_run)
+    p_run.add_argument("--config", help="experiment file; flags override it")
+    _add_config_flags(p_run, CONFIG_TYPES)
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare",
                            help="run both protocols and tabulate ratios")
     p_cmp.add_argument("--config-ps", dest="config_ps")
     p_cmp.add_argument("--config-stanza", dest="config_stanza")
-    p_cmp.add_argument("--model")
-    p_cmp.add_argument("--seed", type=int)
-    p_cmp.add_argument("--iterations", type=int)
-    p_cmp.add_argument("--epochs", type=int)
-    p_cmp.add_argument("--batch-k", type=int, dest="batch_k")
-    p_cmp.add_argument("--bandwidth", type=float)
-    p_cmp.add_argument("--latency", type=float)
-    p_cmp.add_argument("--epoch-samples", type=int, dest="epoch_samples")
-    p_cmp.add_argument("--boundary", type=int)
+    _add_config_flags(p_cmp, _COMPARE_FIELDS)
     p_cmp.add_argument("--servers", type=int, default=1)
     p_cmp.add_argument("--fc-workers", type=int, dest="fc_workers", default=1)
     p_cmp.add_argument("--workers", type=int, nargs="+",

@@ -34,6 +34,7 @@ import json
 import math
 import statistics
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,7 +52,7 @@ from .tensor_core import (FullyConnected, OptimizerState, block_backward,
 from .transport import LedgerInvariant, NetConfig, Tag
 
 
-class MismatchedConfigs(ValueError):
+class MismatchedConfigs(ConfigError):
     """The two sides of a comparison disagree on a shared knob."""
 
 
@@ -116,6 +117,13 @@ class ExperimentConfig:
             raise ConfigError("batch_k must be at least 1")
         if self.epoch_samples is not None and self.epoch_samples < 1:
             raise ConfigError("epoch_samples must be at least 1")
+        if not self.latency >= 0:
+            raise ConfigError(f"latency must be nonnegative, got {self.latency}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        self.constants()  # PerfConstants checks bandwidth and compute times
 
     def constants(self) -> PerfConstants:
         return PerfConstants(bandwidth=self.bandwidth,
@@ -124,11 +132,12 @@ class ExperimentConfig:
                              ps_compute_time=self.ps_compute_time)
 
 
-_INT_KEYS = ("seed", "iterations", "epochs", "batch_k", "workers", "servers",
-             "fc_workers", "nodes", "epoch_samples", "boundary")
-_FLOAT_KEYS = ("bandwidth", "latency", "lr", "momentum", "conv_time",
-               "fc_unit_time", "ps_compute_time")
-_STR_KEYS = ("mode", "model", "data", "out_dir", "label")
+# field name -> int, float or str (the annotation with any `| None` dropped);
+# experiment-file keys and `run` flags are parsed with these
+CONFIG_TYPES: dict[str, type] = {
+    name: next(t for t in typing.get_args(hint) or (hint,)
+               if t is not type(None))
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
 def parse_experiment_text(text: str) -> ExperimentConfig:
@@ -141,21 +150,15 @@ def parse_experiment_text(text: str) -> ExperimentConfig:
     for key, args in parse_kv_text(text):
         if key == "experiment":
             key = "label"
-        if key not in _INT_KEYS + _FLOAT_KEYS + _STR_KEYS:
+        if key not in CONFIG_TYPES:
             raise ConfigError(f"unknown experiment key {key!r}")
         if len(args) != 1:
             raise ConfigError(f"bad {key} line: expected one value, "
                               f"got {args!r}")
-        raw = args[0]
         try:
-            if key in _INT_KEYS:
-                values[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(raw)
-            else:
-                values[key] = raw
+            values[key] = CONFIG_TYPES[key](args[0])
         except ValueError:
-            raise ConfigError(f"bad {key} value {raw!r}") from None
+            raise ConfigError(f"bad {key} value {args[0]!r}") from None
     for required in ("mode", "model", "seed"):
         if required not in values:
             raise ConfigError(f"experiment file is missing {required!r}")
@@ -326,10 +329,6 @@ def resolve_model(name: str, batch_k: int | None = None) -> ModelSpec:
     return spec
 
 
-def _load_spec(config: ExperimentConfig) -> ModelSpec:
-    return resolve_model(config.model, config.batch_k)
-
-
 def _try_fc_params(spec: ModelSpec, boundary: int | None) -> int | None:
     try:
         return split(spec, boundary).fc_params
@@ -411,8 +410,6 @@ def _exact_div(numerator: int, denominator: int, what: str) -> int:
 
 def _fc_data_bytes(config, spec, ledger, workers: int, iterations: int):
     """Per-worker per-iteration FC-layer traffic under the documented rule."""
-    if config.mode == "single":
-        return 0
     if config.mode == "stanza":
         payload = (ledger.tag_payload_bytes[Tag.ACTIVATIONS]
                    + ledger.tag_payload_bytes[Tag.BOUNDARY_GRADS])
@@ -462,7 +459,7 @@ def _train_single(spec: ModelSpec, workers: int, iterations: int, batch_fn,
 
 def execute(config: ExperimentConfig):
     """Run one experiment. Returns (RunReport, final TrainState or None)."""
-    spec = _load_spec(config)
+    spec = resolve_model(config.model, config.batch_k)
     workers, coordinators = _split_counts(config, spec)
     global_batch = workers * spec.batch_k
     iterations = _iteration_count(config, global_batch)

@@ -16,28 +16,28 @@ from typing import Iterable
 import numpy as np
 
 from .tensor_core import (Conv2d, Flatten, FullyConnected, LayerKind,
-                          MaxPool2d, ReLU, SoftmaxCrossEntropy, out_shape,
-                          param_count)
-
-
-class NoFcLayer(ValueError):
-    """Model has no FullyConnected layer to separate."""
-
-
-class NoConvBlock(ValueError):
-    """Nothing precedes the first FullyConnected layer."""
-
-
-class BadBoundary(ValueError):
-    """Requested split index does not separate the model into two blocks."""
-
-
-class NotExecutable(TypeError):
-    """Operation needs concrete layers but the spec is a count profile."""
+                          MaxPool2d, ReLU, ShapeMismatch, SoftmaxCrossEntropy,
+                          out_shape, param_count)
 
 
 class ConfigError(ValueError):
-    """Malformed declarative spec text."""
+    """A bad run input; the command line exits 2 on it."""
+
+
+class NoFcLayer(ConfigError):
+    """Model has no FullyConnected layer to separate."""
+
+
+class NoConvBlock(ConfigError):
+    """Nothing precedes the first FullyConnected layer."""
+
+
+class BadBoundary(ConfigError):
+    """Requested split index does not separate the model into two blocks."""
+
+
+class NotExecutable(ConfigError):
+    """Operation needs concrete layers but the spec is a count profile."""
 
 
 @dataclass(frozen=True)
@@ -300,7 +300,10 @@ def parse_model_text(text: str) -> ModelSpec:
         raise ConfigError("spec has neither layers nor profile counts")
     if input_shape is None:
         raise ConfigError("executable spec needs `input`")
-    return executable_spec(name, layers, input_shape, batch_k)
+    try:
+        return executable_spec(name, layers, input_shape, batch_k)
+    except ShapeMismatch as exc:
+        raise ConfigError(f"layer stack does not fit: {exc}") from None
 
 
 def load_model_file(path) -> ModelSpec:

@@ -46,10 +46,10 @@ class PerfConstants:
     ps_compute_time: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
         for name in ("conv_time", "fc_unit_time", "ps_compute_time"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be nonnegative")
 
 

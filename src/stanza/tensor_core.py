@@ -301,15 +301,14 @@ def backward(layer: LayerKind, params: Sequence[np.ndarray], cache,
         n, c, h, w = x_shape
         k, s = layer.kernel, layer.stride
         oh, ow = arg.shape[2], arg.shape[3]
-        gx = np.zeros(x_shape, dtype=np.float64)
-        g64 = gy.astype(np.float64)
-        for kh in range(k):
-            for kw in range(k):
-                # windows overlap across (kh, kw) but never within one slice,
-                # so += accumulates correctly
-                mask = arg == (kh * k + kw)
-                gx[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s] += np.where(mask, g64, 0.0)
-        return gx.astype(FLOAT), []
+        # flat input index of each window's max; where windows overlap on one
+        # cell, bincount sums their gradients (in float64)
+        rows = (np.arange(oh) * s)[:, None] + arg // k
+        cols = np.arange(ow) * s + arg % k
+        planes = np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+        gx = np.bincount((planes + rows * w + cols).ravel(),
+                         weights=gy.ravel(), minlength=n * c * h * w)
+        return gx.reshape(x_shape).astype(FLOAT), []
 
     if isinstance(layer, Flatten):
         x_shape = cache

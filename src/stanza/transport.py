@@ -168,15 +168,12 @@ class NetConfig:
 class PhaseRecord:
     label: str
     elapsed: float
-    messages: int
-    payload_bytes: int
 
 
 @dataclass
 class MessageRecord:
     phase: str
     phase_index: int
-    link_seq: int
     src: NodeId
     dst: NodeId
     tag: Tag
@@ -197,28 +194,21 @@ class TrafficLedger:
     def __init__(self):
         self.node_sent: dict[NodeId, int] = {}
         self.node_received: dict[NodeId, int] = {}
-        self.link_bytes: dict[tuple[NodeId, NodeId], int] = {}
         self.tag_payload_bytes: dict[Tag, int] = {t: 0 for t in Tag}
         self.tag_messages: dict[Tag, int] = {t: 0 for t in Tag}
         self.logical_clock = 0.0
         self.phases: list[PhaseRecord] = []
         self.messages: list[MessageRecord] = []
-        self._link_seq: dict[tuple[NodeId, NodeId, Tag], int] = {}
 
     def observe(self, msg: Message, phase: str, phase_index: int) -> None:
         wire = msg.payload_bytes + HEADER_BYTES
         self.node_sent[msg.src] = self.node_sent.get(msg.src, 0) + wire
         self.node_received[msg.dst] = self.node_received.get(msg.dst, 0) + wire
-        link = (msg.src, msg.dst)
-        self.link_bytes[link] = self.link_bytes.get(link, 0) + wire
         self.tag_payload_bytes[msg.tag] += msg.payload_bytes
         self.tag_messages[msg.tag] += 1
-        seq_key = (msg.src, msg.dst, msg.tag)
-        seq = self._link_seq.get(seq_key, 0)
-        self._link_seq[seq_key] = seq + 1
         self.messages.append(MessageRecord(
-            phase=phase, phase_index=phase_index, link_seq=seq, src=msg.src,
-            dst=msg.dst, tag=msg.tag, op=msg.op, round=msg.round,
+            phase=phase, phase_index=phase_index, src=msg.src, dst=msg.dst,
+            tag=msg.tag, op=msg.op, round=msg.round,
             payload_bytes=msg.payload_bytes))
 
     # -- queries ------------------------------------------------------------
@@ -254,14 +244,14 @@ class TrafficLedger:
     def export_csv(self, path) -> None:
         """One row per message: phase, src, dst, tag, bytes, elapsed_s.
 
-        Rows are sorted on (phase index, src, dst, tag, per-link sequence) so
-        the file is byte-identical across reruns regardless of thread timing.
-        elapsed_s is the elapsed time of the phase the message belongs to.
+        Rows are sorted on (phase index, src, dst, tag), ties kept in send
+        order, so the file is byte-identical across reruns. elapsed_s is the
+        elapsed time of the phase the message belongs to.
         """
         phase_elapsed = {i: p.elapsed for i, p in enumerate(self.phases)}
         rows = sorted(self.messages,
                       key=lambda m: (m.phase_index, _node_key(m.src),
-                                     _node_key(m.dst), m.tag.value, m.link_seq))
+                                     _node_key(m.dst), m.tag.value))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["phase", "src", "dst", "tag", "bytes", "elapsed_s"])
@@ -331,8 +321,6 @@ class SimTransport:
         self._phase = "setup"
         self._phase_index = 0
         self._phase_transfers: list[tuple[NodeId, NodeId, int]] = []
-        self._phase_payload = 0
-        self._phase_messages = 0
 
     # -- membership ----------------------------------------------------------
 
@@ -367,8 +355,6 @@ class SimTransport:
                 raise UnknownNode(f"unregistered destination {msg.dst}")
             self.ledger.observe(msg, self._phase, self._phase_index)
             self._phase_transfers.append((msg.src, msg.dst, msg.payload_bytes))
-            self._phase_payload += msg.payload_bytes
-            self._phase_messages += 1
             self._queues[msg.dst].append(msg)
             self._cv.notify_all()
 
@@ -413,23 +399,16 @@ class SimTransport:
         with self._cv:
             self._phase = label
             self._phase_transfers = []
-            self._phase_payload = 0
-            self._phase_messages = 0
 
     def end_phase(self) -> float:
         """Close the current phase, advance the clock, return elapsed seconds."""
         with self._cv:
             elapsed = phase_elapsed(self._phase_transfers, self.net)
             self.ledger.logical_clock += elapsed
-            self.ledger.phases.append(PhaseRecord(
-                label=self._phase, elapsed=elapsed,
-                messages=self._phase_messages,
-                payload_bytes=self._phase_payload))
+            self.ledger.phases.append(PhaseRecord(self._phase, elapsed))
             self._phase_index += 1
             self._phase = f"phase{self._phase_index}"
             self._phase_transfers = []
-            self._phase_payload = 0
-            self._phase_messages = 0
             return elapsed
 
     @contextmanager
@@ -453,8 +432,7 @@ class SimTransport:
             raise ValueError("compute time must be nonnegative")
         with self._cv:
             self.ledger.logical_clock += seconds
-            self.ledger.phases.append(PhaseRecord(
-                label=label, elapsed=seconds, messages=0, payload_bytes=0))
+            self.ledger.phases.append(PhaseRecord(label, seconds))
             self._phase_index += 1
             return seconds
 

@@ -3,7 +3,8 @@
 Nothing here imports the code paths under test beyond plain data types: the
 finite-difference gradients drive layers only through their forward pass, the
 Conv2d reference loops over kernel positions instead of building patch
-matrices, the tree-sum fold never touches the transport, and the planner
+matrices, the MaxPool2d reference scatters one kernel tap at a time instead
+of indexing every window's max at once, the tree-sum fold never touches the transport, and the planner
 oracle re-derives assignments by brute force from the closed-form times.
 """
 
@@ -70,6 +71,34 @@ def conv2d_reference(layer, params, x: np.ndarray, gy: np.ndarray):
     gx = gxp[:, :, p:hp - p, p:wp - p] if p else gxp
     return (acc.astype(np.float32), gx.astype(np.float32),
             [gw.astype(np.float32), gb.astype(np.float32)])
+
+
+def maxpool2d_reference(layer, x: np.ndarray, gy: np.ndarray):
+    """MaxPool2d with a per-tap backward: one masked float64 add per kernel
+    position (kh, kw), the first maximum of each window taking the gradient.
+
+    Returns (output, grad_input) as float32 for input x and output gradient gy.
+    """
+    n, c, h, w = x.shape
+    k, s = layer.kernel, layer.stride
+    oh = (h - k) // s + 1
+    ow = (w - k) // s + 1
+    cand = np.empty((n, c, oh, ow, k * k), dtype=x.dtype)
+    for kh in range(k):
+        for kw in range(k):
+            cand[..., kh * k + kw] = x[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s]
+    arg = cand.argmax(axis=-1)
+    out = np.take_along_axis(cand, arg[..., None], axis=-1)[..., 0]
+
+    gx = np.zeros(x.shape, dtype=np.float64)
+    g64 = gy.astype(np.float64)
+    for kh in range(k):
+        for kw in range(k):
+            # windows overlap across (kh, kw) but never within one slice,
+            # so += accumulates correctly
+            mask = arg == (kh * k + kw)
+            gx[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s] += np.where(mask, g64, 0.0)
+    return out, gx.astype(np.float32)
 
 
 def tree_sum(values: list[np.ndarray]) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Command line front end: subcommands, flag precedence, exit codes."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +13,10 @@ import pytest
 
 import stanza
 from stanza import cli
-from stanza.cli import main
+from stanza.cli import build_parser, main
+from stanza.harness import CONFIG_TYPES, ExperimentConfig, MismatchedConfigs
+from stanza.model_partition import (BadBoundary, ConfigError, NoConvBlock,
+                                    NoFcLayer, NotExecutable)
 from stanza.perf_model import load_constants_file
 
 
@@ -97,6 +102,64 @@ class TestRunCommand:
                                capsys)
         assert code == 2
         assert "STANZA_SEED='lucky' is not an integer" in err
+
+
+BAD_MODEL = "name bad\nbatch_k 4\ninput 3 8 8\nlayer conv 4 8 3 1 1\n"
+
+
+class TestBadRunInputs:
+    """Each input once ended in a traceback or a wrong answer; each is a
+    configuration error now."""
+
+    @pytest.mark.parametrize("mode,flags", [
+        ("single", ["--momentum", "1.5"]),
+        ("stanza", ["--conv-time", "-1"]),
+        ("stanza", ["--bandwidth", "0"]),
+        ("stanza", ["--bandwidth", "nan"]),
+        ("stanza", ["--latency", "-1"]),
+        ("single", ["--lr", "-1"]),
+        ("single", ["--model", "BAD_MODEL"]),
+    ], ids=["momentum", "conv-time", "bandwidth", "bandwidth-nan", "latency",
+            "lr", "model-file"])
+    def test_exits_2(self, tmp_path, capsys, mode, flags):
+        bad = tmp_path / "bad.model"
+        bad.write_text(BAD_MODEL)
+        flags = [str(bad) if f == "BAD_MODEL" else f for f in flags]
+        code, _, err = run_cli(["run", "--mode", mode, "--model", "tiny_cnn",
+                                "--seed", "1", "--iterations", "1"] + flags,
+                               capsys)
+        assert code == 2
+        assert "configuration error" in err
+
+    @pytest.mark.parametrize("error", [NoFcLayer, NoConvBlock, BadBoundary,
+                                       NotExecutable, MismatchedConfigs])
+    def test_named_errors_are_config_errors(self, error):
+        assert issubclass(error, ConfigError)
+
+
+def subcommand_parser(name):
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+class TestFlagSchema:
+    def test_config_types_follow_the_fields(self):
+        fields = dataclasses.fields(ExperimentConfig)
+        assert list(CONFIG_TYPES) == [f.name for f in fields]
+        assert set(CONFIG_TYPES.values()) == {int, float, str}
+        assert (CONFIG_TYPES["batch_k"], CONFIG_TYPES["latency"],
+                CONFIG_TYPES["label"]) == (int, float, str)
+
+    def test_run_has_one_flag_per_field(self):
+        flags = {a.option_strings[-1]: (a.dest, a.type)
+                 for a in subcommand_parser("run")._actions
+                 if a.dest != "help"}
+        want = {"--config": ("config", None)}
+        for f in dataclasses.fields(ExperimentConfig):
+            want["--" + f.name.replace("_", "-")] = (f.name,
+                                                     CONFIG_TYPES[f.name])
+        assert flags == want
 
 
 class TestCompareCommand:

@@ -438,7 +438,7 @@ class TestLedgerInvariant:
 
     def test_phases_not_divisible_into_iterations(self):
         ledger = TrafficLedger()
-        ledger.phases = [PhaseRecord("update", 0.0, 0, 0)] * 3
+        ledger.phases = [PhaseRecord("update", 0.0)] * 3
         with pytest.raises(LedgerInvariant):
             _iteration_seconds(ledger, 2)
 

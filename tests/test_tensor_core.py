@@ -12,7 +12,8 @@ from stanza.tensor_core import (Conv2d, CorruptCheckpoint, Flatten,
                                 serialize_params, sgd_step)
 
 from stanza.model_partition import tiny_cnn
-from oracles import conv2d_reference, finite_diff_grad, rel_err
+from oracles import (conv2d_reference, finite_diff_grad, maxpool2d_reference,
+                     rel_err)
 
 
 def check_grads(layer, params, x, rng, labels=None, tol=1e-3, eps=1e-3):
@@ -243,6 +244,69 @@ class TestConv2dAgainstReference:
                 for got, want in zip(*conv_pair(layer, p, x, gy)):
                     np.testing.assert_array_equal(got, want)
             shape = out_shape(layer, shape)
+
+
+def pool_pair(layer, x, gy):
+    """(library, reference) results as flat lists: output, gx."""
+    y, cache = forward(layer, [], x)
+    gx, grads = backward(layer, [], cache, gy)
+    assert grads == []
+    return [y, gx], list(maxpool2d_reference(layer, x, gy))
+
+
+class TestMaxPool2dAgainstReference:
+    """The one-scatter MaxPool2d backward against the per-tap masked adds."""
+
+    POOLS = [(2, 2), (3, 2), (3, 1), (2, 1), (3, 3), (2, 3)]
+
+    def draw_pair(self, layer, n, hw, draw):
+        x = draw((n, 3) + hw)
+        return x, draw((n,) + out_shape(layer, x.shape[1:]))
+
+    @pytest.mark.parametrize("kernel,stride", POOLS)
+    def test_exact_on_integer_inputs(self, rng, kernel, stride):
+        """Few distinct values make ties, so overlapping windows often route
+        to one cell and its gradient is a sum."""
+        layer = MaxPool2d(kernel, stride)
+
+        def draw(shape):
+            return rng.integers(-3, 4, shape).astype(np.float32)
+
+        for n in (1, 5, 16):
+            x, gy = self.draw_pair(layer, n, (9, 8), draw)
+            for got, want in zip(*pool_pair(layer, x, gy)):
+                assert got.dtype == np.float32 and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kernel,stride", POOLS)
+    def test_within_one_ulp_on_gaussian_inputs(self, rng, kernel, stride):
+        layer = MaxPool2d(kernel, stride)
+
+        def draw(shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        for n in (1, 7, 16):
+            x, gy = self.draw_pair(layer, n, (11, 10), draw)
+            for got, want in zip(*pool_pair(layer, x, gy)):
+                ulp = np.maximum(np.spacing(np.abs(got)),
+                                 np.spacing(np.abs(want)))
+                assert (np.abs(got - want) <= ulp).all()
+
+    def test_exact_at_tiny_cnn_shapes(self, rng):
+        """Gaussian data at the model's pooling shapes, batch 16."""
+        spec = tiny_cnn()
+        shape = spec.input_shape
+        pools = 0
+        for layer in spec.require_layers():
+            if isinstance(layer, MaxPool2d):
+                x = rng.standard_normal((16,) + shape).astype(np.float32)
+                gy = rng.standard_normal(
+                    (16,) + out_shape(layer, shape)).astype(np.float32)
+                for got, want in zip(*pool_pair(layer, x, gy)):
+                    np.testing.assert_array_equal(got, want)
+                pools += 1
+            shape = out_shape(layer, shape)
+        assert pools == 2
 
 
 class TestInputGrad:
