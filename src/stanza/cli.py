@@ -29,9 +29,8 @@ from .harness import (_DATA, _MODES, CONFIG_TYPES, ExperimentConfig,
                       NonFinite, bench_constants, compare,
                       load_experiment_file, resolve_model, run)
 from .model_partition import ConfigError, split
-from .perf_model import (Infeasible, PerfConstants, assign_nodes, assign_ps,
-                         format_constants_text, load_constants_file,
-                         ps_iter_time, stanza_iter_time)
+from .perf_model import (Infeasible, PerfConstants, best_split,
+                         format_constants_text, load_constants_file)
 
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError)
 
@@ -135,30 +134,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     spec = resolve_model(args.model, args.batch_k)
-    if args.constants is not None:
-        constants = load_constants_file(args.constants)
-        if args.bandwidth is not None:
-            constants = dataclasses.replace(constants,
-                                            bandwidth=args.bandwidth)
-    else:
-        constants = PerfConstants(bandwidth=args.bandwidth or 10e9)
-    part = split(spec, args.boundary)
-    if args.mode == "ps":
-        picked = assign_ps(part.conv_params + part.fc_params, spec.batch_k,
-                           args.nodes, constants)
-        seconds = ps_iter_time(part.conv_params + part.fc_params,
-                               picked.n_workers, picked.n_servers, constants)
-        print(f"{spec.name} on {args.nodes} nodes: {picked.n_workers} workers"
-              f" + {picked.n_servers} servers")
-    else:
-        picked = assign_nodes(part, args.nodes, constants,
-                              fc_memory_bytes=args.memory)
-        seconds = stanza_iter_time(part, picked.n_conv, picked.n_fc,
-                                   constants)
-        print(f"{spec.name} on {args.nodes} nodes: {picked.n_conv} CONV "
-              f"workers + {picked.n_fc} FC workers")
+    constants = (PerfConstants() if args.constants is None
+                 else load_constants_file(args.constants))
+    if args.bandwidth is not None:
+        constants = dataclasses.replace(constants, bandwidth=args.bandwidth)
+    workers, coordinators, seconds = best_split(
+        split(spec, args.boundary), args.mode, args.nodes, constants,
+        fc_memory_bytes=args.memory)
+    roles = (("workers", "servers") if args.mode == "ps"
+             else ("CONV workers", "FC workers"))
+    print(f"{spec.name} on {args.nodes} nodes: {workers} {roles[0]} + "
+          f"{coordinators} {roles[1]}")
     print(f"iteration time {seconds:.6g} s, "
-          f"throughput {picked.throughput:.6g} samples/s")
+          f"throughput {workers * spec.batch_k / seconds:.6g} samples/s")
     return 0
 
 

@@ -44,7 +44,7 @@ from .checkpointing import TrainState, param_digest, start_state
 from .model_partition import (BadBoundary, ConfigError, ModelSpec, NoConvBlock,
                               NoFcLayer, builtin_model, load_model_file,
                               parse_kv_text, split)
-from .perf_model import PerfConstants, assign_nodes, assign_ps
+from .perf_model import PerfConstants, best_split
 from .ps_runtime import PsCluster, ps_traffic
 from .stanza_runtime import StanzaCluster, stanza_traffic
 from .tensor_core import (FullyConnected, OptimizerState, block_backward,
@@ -113,8 +113,9 @@ class ExperimentConfig:
             raise ConfigError("servers and fc_workers must be at least 1")
         if self.nodes is not None and self.workers is not None:
             raise ConfigError("give nodes or explicit worker counts, not both")
-        if self.batch_k is not None and self.batch_k < 1:
-            raise ConfigError("batch_k must be at least 1")
+        if self.nodes is not None and self.mode == "single":
+            raise ConfigError("single mode runs on one node; nodes does not "
+                              "apply")
         if self.epoch_samples is not None and self.epoch_samples < 1:
             raise ConfigError("epoch_samples must be at least 1")
         if not self.latency >= 0:
@@ -338,18 +339,14 @@ def _try_fc_params(spec: ModelSpec, boundary: int | None) -> int | None:
 
 def _split_counts(config: ExperimentConfig, spec: ModelSpec) -> tuple[int, int]:
     """(workers, coordinators) for the configured mode, planning if asked."""
-    if config.mode == "single":
-        return (config.workers if config.workers is not None else 1, 0)
     if config.nodes is not None:
-        c = config.constants()
-        part = split(spec, config.boundary)
-        if config.mode == "ps":
-            picked = assign_ps(part.conv_params + part.fc_params,
-                               spec.batch_k, config.nodes, c)
-            return picked.n_workers, picked.n_servers
-        picked = assign_nodes(part, config.nodes, c)
-        return picked.n_conv, picked.n_fc
+        workers, coordinators, _ = best_split(split(spec, config.boundary),
+                                              config.mode, config.nodes,
+                                              config.constants())
+        return workers, coordinators
     workers = config.workers if config.workers is not None else 1
+    if config.mode == "single":
+        return workers, 0
     if config.mode == "ps":
         return workers, config.servers
     return workers, config.fc_workers

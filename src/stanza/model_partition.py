@@ -40,6 +40,9 @@ class NotExecutable(ConfigError):
     """Operation needs concrete layers but the spec is a count profile."""
 
 
+_PROFILE_COUNTS = ("params_total", "params_conv", "boundary_activations")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture description.
@@ -47,6 +50,9 @@ class ModelSpec:
     Executable specs carry `layers` plus the per-sample `input_shape`.
     Profiles carry counts: params_total, params_conv, boundary_activations.
     batch_k is the per-worker minibatch size the model is normally run with.
+
+    Each construction, dataclasses.replace included, checks the spec and
+    raises ConfigError, or ShapeMismatch for a stack that misfits its input.
     """
     name: str
     batch_k: int
@@ -55,6 +61,26 @@ class ModelSpec:
     params_total: int | None = None
     params_conv: int | None = None
     boundary_activations: int | None = None
+
+    def __post_init__(self):
+        if self.batch_k < 1:
+            raise ConfigError(f"batch_k must be at least 1, got {self.batch_k}")
+        if self.layers is not None:
+            if not self.layers:
+                raise ConfigError("empty layer list")
+            shape = self.input_shape
+            for layer in self.layers:  # raises ShapeMismatch on a misfit
+                shape = out_shape(layer, shape)
+            return
+        missing = [k for k in _PROFILE_COUNTS if getattr(self, k) is None]
+        if missing:
+            raise ConfigError(f"{self.name} has neither layers nor a full "
+                              f"profile: missing {missing}")
+        if not 0 < self.params_conv < self.params_total:
+            raise ConfigError("need 0 < params_conv < params_total")
+        if self.boundary_activations < 1:
+            raise ConfigError("boundary_activations must be at least 1, got "
+                              f"{self.boundary_activations}")
 
     @property
     def is_profile(self) -> bool:
@@ -68,21 +94,13 @@ class ModelSpec:
 
 def executable_spec(name: str, layers: Iterable[LayerKind],
                     input_shape: tuple[int, ...], batch_k: int) -> ModelSpec:
-    """Build and validate an executable spec (shape-checks the whole stack)."""
-    layers = tuple(layers)
-    if not layers:
-        raise ConfigError("empty layer list")
-    shape = tuple(input_shape)
-    for layer in layers:  # raises ShapeMismatch on an incompatible stack
-        shape = out_shape(layer, shape)
-    return ModelSpec(name=name, batch_k=batch_k, layers=layers,
+    """An executable spec; ModelSpec shape-checks the whole stack."""
+    return ModelSpec(name=name, batch_k=batch_k, layers=tuple(layers),
                      input_shape=tuple(input_shape))
 
 
 def profile_spec(name: str, params_total: int, params_conv: int,
                  boundary_activations: int, batch_k: int) -> ModelSpec:
-    if not 0 < params_conv < params_total:
-        raise ConfigError("need 0 < params_conv < params_total")
     return ModelSpec(name=name, batch_k=batch_k, params_total=int(params_total),
                      params_conv=int(params_conv),
                      boundary_activations=int(boundary_activations))
@@ -203,25 +221,10 @@ def mlp_split(spec: ModelSpec, boundary: int) -> Partition:
 # Declarative text format
 # ---------------------------------------------------------------------------
 
-_LAYER_ARITY = {"conv": (5, 5), "maxpool": (2, 2), "flatten": (0, 0),
-                "fc": (2, 2), "relu": (0, 0), "softmax_ce": (0, 0)}
-
-
-def _build_layer(kind: str, args: list[int]) -> LayerKind:
-    if kind == "conv":
-        in_ch, out_ch, k, s, p = args
-        return Conv2d(in_ch, out_ch, k, s, p)
-    if kind == "maxpool":
-        return MaxPool2d(*args)
-    if kind == "flatten":
-        return Flatten()
-    if kind == "fc":
-        return FullyConnected(*args)
-    if kind == "relu":
-        return ReLU()
-    if kind == "softmax_ce":
-        return SoftmaxCrossEntropy()
-    raise ConfigError(f"unknown layer kind {kind!r}")
+# layer keyword -> (argument count, layer kind built from the arguments)
+_LAYER_KINDS = {"conv": (5, Conv2d), "maxpool": (2, MaxPool2d),
+                "flatten": (0, Flatten), "fc": (2, FullyConnected),
+                "relu": (0, ReLU), "softmax_ce": (0, SoftmaxCrossEntropy)}
 
 
 def parse_kv_text(text: str) -> list[tuple[str, list[str]]]:
@@ -271,14 +274,14 @@ def parse_model_text(text: str) -> ModelSpec:
                 input_shape = tuple(int(a) for a in args)
             elif key == "layer":
                 kind = args[0].lower()
-                if kind not in _LAYER_ARITY:
+                if kind not in _LAYER_KINDS:
                     raise ConfigError(f"unknown layer kind {kind!r}")
-                lo, hi = _LAYER_ARITY[kind]
+                arity, make = _LAYER_KINDS[kind]
                 vals = [int(a) for a in args[1:]]
-                if not lo <= len(vals) <= hi:
-                    raise ConfigError(f"layer {kind} takes {lo} args, got {len(vals)}")
-                layers.append(_build_layer(kind, vals))
-            elif key in ("params_total", "params_conv", "boundary_activations"):
+                if len(vals) != arity:
+                    raise ConfigError(f"layer {kind} takes {arity} args, got {len(vals)}")
+                layers.append(make(*vals))
+            elif key in _PROFILE_COUNTS:
                 (counts[key],) = (int(a) for a in args)
             else:
                 raise ConfigError(f"unknown key {key!r}")
@@ -288,20 +291,14 @@ def parse_model_text(text: str) -> ModelSpec:
             raise ConfigError(f"bad arguments for {key!r}: {args}") from exc
     if name is None or batch_k is None:
         raise ConfigError("spec needs `name` and `batch_k`")
-    if counts:
-        if layers:
-            raise ConfigError("a spec is either a profile or a layer list, not both")
-        missing = {"params_total", "params_conv", "boundary_activations"} - set(counts)
-        if missing:
-            raise ConfigError(f"profile missing {sorted(missing)}")
-        return profile_spec(name, counts["params_total"], counts["params_conv"],
-                            counts["boundary_activations"], batch_k)
-    if not layers:
-        raise ConfigError("spec has neither layers nor profile counts")
-    if input_shape is None:
+    if counts and layers:
+        raise ConfigError("a spec is either a profile or a layer list, not both")
+    if layers and input_shape is None:
         raise ConfigError("executable spec needs `input`")
     try:
-        return executable_spec(name, layers, input_shape, batch_k)
+        return ModelSpec(name=name, batch_k=batch_k,
+                         layers=tuple(layers) or None,
+                         input_shape=input_shape, **counts)
     except ShapeMismatch as exc:
         raise ConfigError(f"layer stack does not fit: {exc}") from None
 
@@ -359,19 +356,13 @@ PROFILES: dict[str, ModelSpec] = {
 }
 
 
-def builtin_model(name: str, batch_k: int | None = None) -> ModelSpec:
+def builtin_model(name: str) -> ModelSpec:
     """Look up a built-in spec by name (tiny_cnn, tiny_mlp, or a profile)."""
     if name == "tiny_cnn":
-        return tiny_cnn(batch_k or 4)
+        return tiny_cnn()
     if name == "tiny_mlp":
-        return tiny_mlp(batch_k or 4)
+        return tiny_mlp()
     if name in PROFILES:
-        spec = PROFILES[name]
-        if batch_k and batch_k != spec.batch_k:
-            spec = ModelSpec(name=spec.name, batch_k=batch_k,
-                             params_total=spec.params_total,
-                             params_conv=spec.params_conv,
-                             boundary_activations=spec.boundary_activations)
-        return spec
+        return PROFILES[name]
     raise ConfigError(f"unknown model {name!r} (built-ins: tiny_cnn, tiny_mlp, "
                       f"{', '.join(sorted(PROFILES))})")

@@ -17,7 +17,7 @@ separation) whenever shards and groups divide evenly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model_partition import ConfigError, Partition, parse_kv_text
 from .ps_runtime import check_ps_shape
@@ -142,8 +142,12 @@ def assign_nodes(part: Partition, total_nodes: int, c: PerfConstants,
     Every FC worker must serve at least one CONV worker (n_fc <= n_conv).
     fc_memory_bytes, when given, bounds the activation batch an FC worker
     must hold: ceil(n_conv/n_fc) * batch_k * boundary * 4 bytes. Ties go to
-    the smaller FC group. Raises Infeasible when no split qualifies.
+    the smaller FC group. Raises Infeasible when no split qualifies and
+    ConfigError for a memory limit that is not positive.
     """
+    if fc_memory_bytes is not None and not fc_memory_bytes > 0:
+        raise ConfigError(f"memory limit must be positive, got "
+                          f"{fc_memory_bytes}")
     best: Assignment | None = None
     for n_fc in range(1, total_nodes):
         n_conv = total_nodes - n_fc
@@ -181,6 +185,27 @@ def assign_ps(params_total: int, batch_k: int, total_nodes: int,
         raise Infeasible(f"cannot split {total_nodes} nodes into workers "
                          "and servers")
     return best
+
+
+def best_split(part: Partition, mode: str, total_nodes: int, c: PerfConstants,
+               fc_memory_bytes: float | None = None
+               ) -> tuple[int, int, float]:
+    """The planner's (workers, coordinators, seconds per iteration).
+
+    mode "ps" splits the budget into workers and parameter servers with
+    assign_ps; any other mode into CONV and FC workers with assign_nodes,
+    under fc_memory_bytes. A memory limit on a "ps" plan is a ConfigError.
+    """
+    if mode == "ps":
+        if fc_memory_bytes is not None:
+            raise ConfigError("a memory limit applies to layer-separated "
+                              "plans only")
+        total = part.conv_params + part.fc_params
+        ps = assign_ps(total, part.spec.batch_k, total_nodes, c)
+        return (ps.n_workers, ps.n_servers,
+                ps_iter_time(total, ps.n_workers, ps.n_servers, c))
+    st = assign_nodes(part, total_nodes, c, fc_memory_bytes)
+    return st.n_conv, st.n_fc, stanza_iter_time(part, st.n_conv, st.n_fc, c)
 
 
 def speedup(part: Partition, total_nodes: int, c: PerfConstants) -> float:
@@ -230,14 +255,14 @@ def parse_constants_text(text: str) -> PerfConstants:
 
     Recognized keys are the four PerfConstants fields; a `name` line is
     accepted and ignored so benched files can label themselves. Missing
-    keys keep their defaults (zero compute, 10 Gb/s).
+    keys keep the PerfConstants defaults.
     """
-    values = {"bandwidth": 10e9, "conv_time": 0.0, "fc_unit_time": 0.0,
-              "ps_compute_time": 0.0}
+    keys = {f.name for f in fields(PerfConstants)}
+    values: dict[str, float] = {}
     for key, args in parse_kv_text(text):
         if key == "name":
             continue
-        if key not in values:
+        if key not in keys:
             raise ConfigError(f"unknown constants key {key!r}")
         try:
             (raw,) = args
@@ -255,8 +280,5 @@ def load_constants_file(path) -> PerfConstants:
 
 def format_constants_text(c: PerfConstants, name: str = "measured") -> str:
     """Render constants in the same `key value` format the parser reads."""
-    return "".join((f"name {name}\n",
-                    f"bandwidth {c.bandwidth!r}\n",
-                    f"conv_time {c.conv_time!r}\n",
-                    f"fc_unit_time {c.fc_unit_time!r}\n",
-                    f"ps_compute_time {c.ps_compute_time!r}\n"))
+    return f"name {name}\n" + "".join(f"{f.name} {getattr(c, f.name)!r}\n"
+                                      for f in fields(c))

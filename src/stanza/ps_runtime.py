@@ -60,8 +60,6 @@ class ShardMap:
     def balance(cls, sizes, n_servers: int) -> "ShardMap":
         """Greedy whole-tensor balancing: largest tensors first, each to the
         currently lightest server. Deterministic for a given size list."""
-        if n_servers < 1:
-            raise ConfigError(f"need at least one server, got {n_servers}")
         load = [0] * n_servers
         owner = [0] * len(sizes)
         for tid in sorted(range(len(sizes)), key=lambda t: (-sizes[t], t)):

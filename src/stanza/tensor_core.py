@@ -140,6 +140,8 @@ def out_shape(layer: LayerKind, in_shape: tuple[int, ...]) -> tuple[int, ...]:
             raise ShapeMismatch(f"MaxPool2d kernel {layer.kernel} too large for {in_shape}")
         return (c, oh, ow)
     if isinstance(layer, Flatten):
+        if not in_shape:
+            raise ShapeMismatch("Flatten expects a per-sample tensor, got ()")
         return (int(np.prod(in_shape)),)
     if isinstance(layer, FullyConnected):
         if len(in_shape) != 1 or in_shape[0] != layer.in_dim:
@@ -159,12 +161,6 @@ def out_shape(layer: LayerKind, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _check_batch(layer: LayerKind, x: np.ndarray, rank: int) -> None:
-    if x.ndim != rank:
-        raise ShapeMismatch(f"{type(layer).__name__} expects {rank}-d batched input, "
-                            f"got shape {x.shape}")
-
-
 def _patches(xp: np.ndarray, k: int, s: int) -> np.ndarray:
     """float64 patch matrices (n, c*k*k, oh*ow) of a padded batch: per
     sample, row (c, kh, kw) holds that tap's input under every output cell."""
@@ -181,24 +177,19 @@ def forward(layer: LayerKind, params: Sequence[np.ndarray], x: np.ndarray,
 
     The cache is whatever backward() for the same layer needs. For
     SoftmaxCrossEntropy the output is the per-sample loss vector and `labels`
-    (integer class ids) is required.
+    (integer class ids) is required. out_shape checks the input's geometry
+    and raises ShapeMismatch when it cannot feed the layer.
     """
+    shape = out_shape(layer, x.shape[1:])
     if isinstance(layer, Conv2d):
-        _check_batch(layer, x, 4)
-        if x.shape[1] != layer.in_ch:
-            raise ShapeMismatch(f"Conv2d expects {layer.in_ch} channels, got {x.shape[1]}")
+        n = len(x)
         w, b = params
         p, s, k = layer.padding, layer.stride, layer.kernel
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        n, _, hp, wp = xp.shape
-        oh = (hp - k) // s + 1
-        ow = (wp - k) // s + 1
-        if oh <= 0 or ow <= 0:
-            raise ShapeMismatch(f"Conv2d kernel {k} too large for input {x.shape}")
         wmat = w.reshape(layer.out_ch, -1).astype(np.float64)
         b64 = b.astype(np.float64)[:, None]
-        out = np.empty((n, layer.out_ch, oh, ow), dtype=FLOAT)
-        rows = out.reshape(n, layer.out_ch, oh * ow)
+        out = np.empty((n, *shape), dtype=FLOAT)
+        rows = out.reshape(n, layer.out_ch, shape[1] * shape[2])
         for lo in range(0, n, _CONV_CHUNK):
             y = wmat @ _patches(xp[lo:lo + _CONV_CHUNK], k, s)
             y += b64
@@ -206,13 +197,9 @@ def forward(layer: LayerKind, params: Sequence[np.ndarray], x: np.ndarray,
         return out, xp
 
     if isinstance(layer, MaxPool2d):
-        _check_batch(layer, x, 4)
-        n, c, h, w = x.shape
+        n = len(x)
+        c, oh, ow = shape
         k, s = layer.kernel, layer.stride
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
-        if oh <= 0 or ow <= 0:
-            raise ShapeMismatch(f"MaxPool2d kernel {k} too large for input {x.shape}")
         # gather the k*k candidates per output cell, argmax picks the first max
         cand = np.empty((n, c, oh, ow, k * k), dtype=x.dtype)
         for kh in range(k):
@@ -223,14 +210,9 @@ def forward(layer: LayerKind, params: Sequence[np.ndarray], x: np.ndarray,
         return out, (arg, x.shape)
 
     if isinstance(layer, Flatten):
-        if x.ndim < 2:
-            raise ShapeMismatch(f"Flatten expects batched input, got shape {x.shape}")
-        return np.ascontiguousarray(x).reshape(x.shape[0], -1), x.shape
+        return np.ascontiguousarray(x).reshape(len(x), -1), x.shape
 
     if isinstance(layer, FullyConnected):
-        _check_batch(layer, x, 2)
-        if x.shape[1] != layer.in_dim:
-            raise ShapeMismatch(f"FullyConnected expects dim {layer.in_dim}, got {x.shape[1]}")
         w, b = params
         y = x.astype(np.float64) @ w.astype(np.float64) + b.astype(np.float64)
         return y.astype(FLOAT), x
@@ -239,7 +221,6 @@ def forward(layer: LayerKind, params: Sequence[np.ndarray], x: np.ndarray,
         return np.maximum(x, 0), (x > 0)
 
     if isinstance(layer, SoftmaxCrossEntropy):
-        _check_batch(layer, x, 2)
         if labels is None:
             raise ValueError("SoftmaxCrossEntropy needs labels")
         if labels.shape[0] != x.shape[0]:

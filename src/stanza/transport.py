@@ -21,10 +21,10 @@ transfer time:
               bytes) * 8 / bandwidth, plus one per_message_latency if the
               phase moved any message.
 
-Send and receive directions are metered independently (full duplex) unless
-NetConfig says otherwise. The fixed 32-byte per-message header is tracked in
-the ledger's byte counters but excluded from transfer-time arithmetic and
-from tag-filtered traffic metrics, which count tensor payload bytes only.
+Send and receive directions are metered independently (full duplex). The
+fixed 32-byte per-message header is tracked in the ledger's byte counters
+but excluded from transfer-time arithmetic and from tag-filtered traffic
+metrics, which count tensor payload bytes only.
 
 Count-profile runs move size-only messages: payload None, payload_elements
 authoritative (4 bytes per element). Numeric runs carry real payload bytes,
@@ -44,7 +44,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -52,16 +52,16 @@ HEADER_BYTES = 32
 BYTES_PER_ELEMENT = 4
 
 
-class Role(Enum):
+class Role(str, Enum):
     CONV_WORKER = "conv"
     FC_WORKER = "fc"
     PS_SERVER = "server"
     PS_WORKER = "worker"
-    CONTROLLER = "controller"
 
 
-@dataclass(frozen=True)
-class NodeId:
+class NodeId(NamedTuple):
+    """A node's address. Ids hash as plain tuples and sort by role value,
+    then index, so every ledger export lists nodes in one order."""
     role: Role
     index: int
 
@@ -69,11 +69,7 @@ class NodeId:
         return f"{self.role.value}{self.index}"
 
 
-def _node_key(n: NodeId) -> tuple[str, int]:
-    return (n.role.value, n.index)
-
-
-class Tag(Enum):
+class Tag(str, Enum):
     ACTIVATIONS = "Activations"
     BOUNDARY_GRADS = "BoundaryGrads"
     GRAD_PUSH = "GradPush"
@@ -160,7 +156,6 @@ def payload_message(src: NodeId, dst: NodeId, tag: Tag, value,
 class NetConfig:
     bandwidth: float = 10e9          # bits/s, per node per direction
     per_message_latency: float = 0.0  # seconds, charged once per phase
-    full_duplex: bool = True
     default_timeout: float = 30.0    # wall seconds a blocking recv waits
 
 
@@ -250,8 +245,7 @@ class TrafficLedger:
         """
         phase_elapsed = {i: p.elapsed for i, p in enumerate(self.phases)}
         rows = sorted(self.messages,
-                      key=lambda m: (m.phase_index, _node_key(m.src),
-                                     _node_key(m.dst), m.tag.value))
+                      key=lambda m: (m.phase_index, m.src, m.dst, m.tag))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["phase", "src", "dst", "tag", "bytes", "elapsed_s"])
@@ -269,8 +263,7 @@ class TrafficLedger:
             "per_node": {
                 str(n): {"sent": self.node_sent.get(n, 0),
                          "received": self.node_received.get(n, 0)}
-                for n in sorted(set(self.node_sent) | set(self.node_received),
-                                key=_node_key)
+                for n in sorted(set(self.node_sent) | set(self.node_received))
             },
             "per_tag_payload_bytes": {t.value: self.tag_payload_bytes[t]
                                       for t in Tag if self.tag_messages[t]},
@@ -290,7 +283,7 @@ def phase_elapsed(transfers: Iterable[tuple[NodeId, NodeId, int]],
 
     Every node serializes its own sends at `bandwidth` and its receives
     likewise; the phase takes as long as the busiest direction of the busiest
-    node. Half duplex shares one pipe across both directions.
+    node.
     """
     sent: dict[NodeId, int] = {}
     received: dict[NodeId, int] = {}
@@ -303,8 +296,7 @@ def phase_elapsed(transfers: Iterable[tuple[NodeId, NodeId, int]],
         return 0.0
     worst = 0.0
     for node in set(sent) | set(received):
-        s, r = sent.get(node, 0), received.get(node, 0)
-        load = (s + r) if not net.full_duplex else max(s, r)
+        load = max(sent.get(node, 0), received.get(node, 0))
         worst = max(worst, load * 8.0 / net.bandwidth)
     return worst + net.per_message_latency
 
@@ -336,7 +328,7 @@ class SimTransport:
 
     @property
     def nodes(self) -> list[NodeId]:
-        return sorted(self._queues, key=_node_key)
+        return sorted(self._queues)
 
     # -- messaging ------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,7 +105,14 @@ class TestRunCommand:
         assert "STANZA_SEED='lucky' is not an integer" in err
 
 
-BAD_MODEL = "name bad\nbatch_k 4\ninput 3 8 8\nlayer conv 4 8 3 1 1\n"
+PROFILE = ("name bad\nbatch_k {}\nparams_total 100\nparams_conv 40\n"
+           "boundary_activations {}\n")
+# flag value -> model file text, written to a file the flag then names
+BAD_MODELS = {"BAD_MODEL": "name bad\nbatch_k 4\ninput 3 8 8\n"
+                           "layer conv 4 8 3 1 1\n",
+              "BATCH_K_0": PROFILE.format(0, 5),
+              "BOUNDARY_NEG": PROFILE.format(2, -5),
+              "BOUNDARY_0": PROFILE.format(2, 0)}
 
 
 class TestBadRunInputs:
@@ -119,12 +127,18 @@ class TestBadRunInputs:
         ("stanza", ["--latency", "-1"]),
         ("single", ["--lr", "-1"]),
         ("single", ["--model", "BAD_MODEL"]),
+        ("stanza", ["--model", "BATCH_K_0"]),
+        ("stanza", ["--model", "BOUNDARY_NEG"]),
+        ("ps", ["--model", "BOUNDARY_0"]),
+        ("single", ["--nodes", "9"]),
     ], ids=["momentum", "conv-time", "bandwidth", "bandwidth-nan", "latency",
-            "lr", "model-file"])
+            "lr", "model-file", "model-batch-k-0", "model-boundary-negative",
+            "model-boundary-0", "single-nodes"])
     def test_exits_2(self, tmp_path, capsys, mode, flags):
-        bad = tmp_path / "bad.model"
-        bad.write_text(BAD_MODEL)
-        flags = [str(bad) if f == "BAD_MODEL" else f for f in flags]
+        for token, text in BAD_MODELS.items():
+            (tmp_path / f"{token}.model").write_text(text)
+        flags = [str(tmp_path / f"{f}.model") if f in BAD_MODELS else f
+                 for f in flags]
         code, _, err = run_cli(["run", "--mode", mode, "--model", "tiny_cnn",
                                 "--seed", "1", "--iterations", "1"] + flags,
                                capsys)
@@ -135,6 +149,31 @@ class TestBadRunInputs:
                                        NotExecutable, MismatchedConfigs])
     def test_named_errors_are_config_errors(self, error):
         assert issubclass(error, ConfigError)
+
+
+PLAN = ["plan", "--model", "alexnet", "--nodes", "8"]
+
+
+class TestBadPlanInputs:
+    """plan and bench once planned or measured with these inputs, or ended
+    in a traceback; each is a configuration error now."""
+
+    @pytest.mark.parametrize("argv", [
+        PLAN + ["--batch-k", "-4", "--mode", "ps"],
+        PLAN + ["--batch-k", "0"],
+        PLAN + ["--bandwidth", "0"],
+        PLAN + ["--memory", "nan"],
+        PLAN + ["--memory", "-1"],
+        PLAN + ["--mode", "ps", "--memory", "2e7"],
+        ["bench", "--model", "tiny_cnn", "--batch-k", "0", "--reps", "1"],
+    ], ids=["plan-batch-k-negative", "plan-batch-k-0", "plan-bandwidth-0",
+            "plan-memory-nan", "plan-memory-negative", "plan-ps-memory",
+            "bench-batch-k-0"])
+    def test_exits_2(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "configuration error" in err
+        assert out == ""
 
 
 def subcommand_parser(name):
@@ -160,6 +199,39 @@ class TestFlagSchema:
             want["--" + f.name.replace("_", "-")] = (f.name,
                                                      CONFIG_TYPES[f.name])
         assert flags == want
+
+
+    @pytest.mark.parametrize("command,flags", [
+        ("compare", {"--config-ps": ("config_ps", None),
+                     "--config-stanza": ("config_stanza", None),
+                     "--model": ("model", str), "--seed": ("seed", int),
+                     "--iterations": ("iterations", int),
+                     "--epochs": ("epochs", int),
+                     "--batch-k": ("batch_k", int),
+                     "--bandwidth": ("bandwidth", float),
+                     "--latency": ("latency", float),
+                     "--epoch-samples": ("epoch_samples", int),
+                     "--boundary": ("boundary", int),
+                     "--servers": ("servers", int),
+                     "--fc-workers": ("fc_workers", int),
+                     "--workers": ("workers", int),
+                     "--out": ("out", None), "--stem": ("stem", None)}),
+        ("plan", {"--model": ("model", None), "--nodes": ("nodes", int),
+                  "--mode": ("mode", None), "--constants": ("constants", None),
+                  "--bandwidth": ("bandwidth", float),
+                  "--batch-k": ("batch_k", int),
+                  "--boundary": ("boundary", int),
+                  "--memory": ("memory", float)}),
+        ("bench", {"--model": ("model", None), "--batch-k": ("batch_k", int),
+                   "--reps": ("reps", int), "--boundary": ("boundary", int),
+                   "--bandwidth": ("bandwidth", float),
+                   "--seed": ("seed", int), "--out": ("out", None)}),
+    ])
+    def test_exact_flag_sets(self, command, flags):
+        got = {a.option_strings[-1]: (a.dest, a.type)
+               for a in subcommand_parser(command)._actions
+               if a.dest != "help"}
+        assert got == flags
 
 
 class TestCompareCommand:
@@ -230,6 +302,29 @@ class TestPlanCommand:
                                 "--nodes", "1"], capsys)
         assert code == 3
         assert "no feasible assignment" in err
+
+    @pytest.mark.parametrize("mode", ["stanza", "ps"])
+    @pytest.mark.parametrize("model", [["alexnet"],
+                                       ["tiny_mlp", "--boundary", "4"]],
+                             ids=["alexnet", "tiny_mlp"])
+    @pytest.mark.parametrize("nodes", ["5", "9"])
+    def test_run_nodes_takes_the_plan(self, tmp_path, capsys, mode, model,
+                                      nodes):
+        consts = tmp_path / "c.constants"
+        consts.write_text("bandwidth 1e9\nconv_time 0.01\n"
+                          "fc_unit_time 0.05\nps_compute_time 0.02\n")
+        code, out, _ = run_cli(["plan", "--model", *model, "--nodes", nodes,
+                                "--mode", mode, "--constants", str(consts)],
+                               capsys)
+        assert code == 0
+        planned = re.search(r"nodes: (\d+) \D+ \+ (\d+) ", out).groups()
+        code, out, _ = run_cli(["run", "--model", *model, "--nodes", nodes,
+                                "--mode", mode, "--seed", "1",
+                                "--iterations", "1", "--bandwidth", "1e9",
+                                "--conv-time", "0.01", "--fc-unit-time",
+                                "0.05", "--ps-compute-time", "0.02"], capsys)
+        assert code == 0
+        assert re.search(r"on (\d+)\+(\d+) nodes", out).groups() == planned
 
     def test_memory_limit_changes_plan(self, capsys):
         code, out, _ = run_cli(["plan", "--model", "alexnet", "--nodes", "8",

@@ -55,8 +55,6 @@ class TestConfigValidation:
             quick("ps", workers=0)
         with pytest.raises(ConfigError):
             quick("ps", servers=0)
-        with pytest.raises(ConfigError):
-            quick("single", batch_k=0)
 
     def test_nodes_and_workers_exclusive(self):
         with pytest.raises(ConfigError):

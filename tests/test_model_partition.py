@@ -1,8 +1,11 @@
 """Model specs, the pooling-boundary split, counting, and the text format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from stanza.harness import resolve_model
 from stanza.model_partition import (BadBoundary, ConfigError, ModelSpec,
                                     NoConvBlock, NoFcLayer, NotExecutable,
                                     PROFILES, builtin_model, count_params,
@@ -123,6 +126,23 @@ class TestSpecValidation:
                                        FullyConnected(100, 10)],
                             input_shape=(3, 8, 8), batch_k=2)
 
+    @pytest.mark.parametrize("spec", [PROFILES["alexnet"], tiny_cnn()],
+                             ids=["profile", "executable"])
+    @pytest.mark.parametrize("batch_k", [0, -4])
+    def test_replace_checks_batch_k_again(self, spec, batch_k):
+        with pytest.raises(ConfigError, match="batch_k"):
+            dataclasses.replace(spec, batch_k=batch_k)
+
+    @pytest.mark.parametrize("boundary", [0, -5])
+    def test_profile_needs_boundary_activations(self, boundary):
+        with pytest.raises(ConfigError, match="boundary_activations"):
+            profile_spec("bad", params_total=10, params_conv=5,
+                         boundary_activations=boundary, batch_k=1)
+
+    def test_needs_layers_or_counts(self):
+        with pytest.raises(ConfigError, match="neither"):
+            ModelSpec(name="bare", batch_k=1)
+
     def test_profile_needs_positive_conv_share(self):
         with pytest.raises(ConfigError):
             profile_spec("bad", params_total=10, params_conv=10,
@@ -130,7 +150,7 @@ class TestSpecValidation:
 
     def test_builtin_lookup(self):
         assert builtin_model("alexnet").batch_k == 128
-        assert builtin_model("alexnet", batch_k=32).batch_k == 32
+        assert resolve_model("alexnet", 32).batch_k == 32
         assert builtin_model("tiny_cnn").layers is not None
         with pytest.raises(ConfigError):
             builtin_model("lenet")

@@ -276,7 +276,7 @@ class TestCountedTraffic:
 
     def test_per_epoch_bytes_independent_of_worker_count(self):
         from stanza.model_partition import builtin_model
-        spec = builtin_model("alexnet", batch_k=128)
+        spec = builtin_model("alexnet")
         epoch = 1024
         totals = []
         for n_workers in (2, 4, 8):

@@ -366,6 +366,26 @@ class TestShapeChecks:
         with pytest.raises(ShapeMismatch):
             forward(MaxPool2d(4, 4), [], np.zeros((1, 1, 3, 3), dtype=np.float32))
 
+    @pytest.mark.parametrize("layer", [
+        Conv2d(3, 4, 3), Conv2d(3, 4, 5, 2, 1), MaxPool2d(2, 2),
+        MaxPool2d(3, 3), Flatten(), FullyConnected(6, 2), ReLU(),
+        SoftmaxCrossEntropy()], ids=repr)
+    def test_forward_rejects_where_out_shape_does(self, layer):
+        params = seeded_init([layer], 0)[0]
+        for shape in [(), (2,), (2, 6), (2, 5), (2, 3, 6), (2, 3, 4, 4),
+                      (2, 3, 2, 2), (2, 3, 2, 7), (2, 4, 4, 4), (2, 6, 1, 1),
+                      (2, 3, 4, 4, 1)]:
+            x = np.ones(shape, dtype=np.float32)
+            labels = np.zeros(shape[:1], dtype=np.int64)
+            try:
+                want = shape[:1] + out_shape(layer, shape[1:])
+            except ShapeMismatch:
+                with pytest.raises(ShapeMismatch):
+                    forward(layer, params, x, labels=labels)
+            else:
+                out, _ = forward(layer, params, x, labels=labels)
+                assert out.shape == want, shape
+
     def test_out_shape_chain(self):
         shape = (3, 16, 16)
         shape = out_shape(Conv2d(3, 8, 3, 1, 1), shape)

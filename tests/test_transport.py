@@ -132,11 +132,9 @@ class TestClock:
         both = phase_elapsed([(W0, S0, 1_000_000), (W1, S0, 1_000_000)], net)
         assert both == pytest.approx(2.0)
 
-    def test_full_duplex_vs_half(self):
+    def test_directions_metered_independently(self):
         xfers = [(W0, S0, 1_000_000), (S0, W0, 1_000_000)]
         assert phase_elapsed(xfers, NetConfig(bandwidth=8e6)) == pytest.approx(1.0)
-        assert phase_elapsed(xfers, NetConfig(bandwidth=8e6, full_duplex=False)) \
-            == pytest.approx(2.0)
 
     def test_latency_charged_once_per_phase(self):
         net = NetConfig(bandwidth=8e6, per_message_latency=0.5)
