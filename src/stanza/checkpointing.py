@@ -16,6 +16,7 @@ import numpy as np
 
 from .tensor_core import (CorruptCheckpoint, check_same_structure,
                           deserialize_params, seeded_init, serialize_params)
+from .transport import SimTransport
 
 _MAGIC = b"STZC"
 _VERSION = 1
@@ -34,6 +35,15 @@ class TrainState:
             params=[[t.copy() for t in layer] for layer in self.params],
             velocities=[[t.copy() for t in layer] for layer in self.velocities],
         )
+
+
+@dataclass
+class TrainResult:
+    """What a cluster's train call returns: per-iteration mean losses, the
+    final state, and the transport whose ledger holds the run's traffic."""
+    losses: list[float]
+    state: TrainState
+    transport: SimTransport
 
 
 def start_state(layers, seed: int, state: TrainState | None) -> TrainState:

@@ -120,10 +120,9 @@ class ExperimentConfig:
             raise ConfigError("epoch_samples must be at least 1")
         if not self.latency >= 0:
             raise ConfigError(f"latency must be nonnegative, got {self.latency}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        OptimizerState(lr=self.lr, momentum=self.momentum)  # checks both
         self.constants()  # PerfConstants checks bandwidth and compute times
 
     def constants(self) -> PerfConstants:
@@ -657,10 +656,13 @@ def bench_constants(spec: ModelSpec, *, reps: int = 5, bandwidth: float = 10e9,
     boundary activations, and the full model (the parameter-server worker's
     job). The full-model time is floored at the CONV time, since the full
     model contains the CONV block and timer jitter on small models can
-    briefly say otherwise.
+    briefly say otherwise. Every input is checked before anything is timed.
     """
     if reps < 1:
         raise ConfigError("reps must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    measured = PerfConstants(bandwidth=bandwidth)
     part = split(spec, boundary)
     layers = spec.require_layers()
     cut = part.split_index
@@ -691,8 +693,7 @@ def bench_constants(spec: ModelSpec, *, reps: int = 5, bandwidth: float = 10e9,
         full_times.append(time.perf_counter() - t0)
 
     conv_time = statistics.median(conv_times)
-    return PerfConstants(bandwidth=bandwidth,
-                         conv_time=conv_time,
-                         fc_unit_time=statistics.median(fc_times),
-                         ps_compute_time=max(statistics.median(full_times),
-                                             conv_time))
+    return dataclasses.replace(
+        measured, conv_time=conv_time,
+        fc_unit_time=statistics.median(fc_times),
+        ps_compute_time=max(statistics.median(full_times), conv_time))

@@ -15,13 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor_core import (Conv2d, Flatten, FullyConnected, LayerKind,
-                          MaxPool2d, ReLU, ShapeMismatch, SoftmaxCrossEntropy,
-                          out_shape, param_count)
-
-
-class ConfigError(ValueError):
-    """A bad run input; the command line exits 2 on it."""
+from .tensor_core import (ConfigError, Conv2d, Flatten, FullyConnected,
+                          LayerKind, MaxPool2d, ReLU, ShapeMismatch,
+                          SoftmaxCrossEntropy, out_shape, param_count)
 
 
 class NoFcLayer(ConfigError):
@@ -91,6 +87,12 @@ class ModelSpec:
             raise NotExecutable(f"{self.name} is a count profile")
         return self.layers
 
+    def check_batch(self, x) -> None:
+        """ShapeMismatch unless x holds one worker batch of batch_k samples."""
+        if x.shape[0] != self.batch_k:
+            raise ShapeMismatch(f"batch has {x.shape[0]} samples, expected "
+                                f"batch_k={self.batch_k}")
+
 
 def executable_spec(name: str, layers: Iterable[LayerKind],
                     input_shape: tuple[int, ...], batch_k: int) -> ModelSpec:
@@ -109,21 +111,6 @@ def profile_spec(name: str, params_total: int, params_conv: int,
 # ---------------------------------------------------------------------------
 # Counting and splitting
 # ---------------------------------------------------------------------------
-
-def count_params(spec: ModelSpec) -> tuple[int, list[tuple[str, int]]]:
-    """Total parameter count plus a per-layer (label, count) breakdown.
-
-    Profiles report two pseudo-layers, conv_block and fc_block.
-    """
-    if spec.is_profile:
-        fc = spec.params_total - spec.params_conv
-        return spec.params_total, [("conv_block", spec.params_conv),
-                                   ("fc_block", fc)]
-    rows = []
-    for i, layer in enumerate(spec.layers):
-        rows.append((f"{i}:{type(layer).__name__}", param_count(layer)))
-    return sum(c for _, c in rows), rows
-
 
 @dataclass(frozen=True)
 class Partition:

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpointing import TrainState, start_state
+from .checkpointing import TrainResult, TrainState, start_state
 from .model_partition import ConfigError, ModelSpec
-from .tensor_core import (OptimizerState, ShapeMismatch, block_backward,
-                          block_forward, flatten_params, param_index_pairs,
-                          param_shapes, rebuild_params, sgd_step)
+from .tensor_core import (OptimizerState, block_backward, block_forward,
+                          flatten_params, param_shapes, sgd_step)
 from .transport import (NetConfig, NodeId, Role, SimTransport, Tag,
                         payload_message)
 
@@ -125,15 +124,6 @@ def _pull_phase(tr: SimTransport, workers, servers, items: ShardMap,
                 for w in workers}
 
 
-@dataclass
-class PsResult:
-    """Outcome of a training call: per-iteration mean losses and final state."""
-    losses: list[float]
-    state: TrainState
-    transport: SimTransport
-    shard_map: ShardMap
-
-
 class PsCluster:
     """A parameter-server deployment bound to one simulated network.
 
@@ -148,8 +138,6 @@ class PsCluster:
                  compute_time: float = 0.0, net: NetConfig | None = None,
                  seed: int = 0, state: TrainState | None = None):
         check_ps_shape(n_workers, n_servers)
-        if lr <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
         self.spec = spec
         self.layers = spec.require_layers()
         self.batch_fn = batch_fn
@@ -159,7 +147,6 @@ class PsCluster:
 
         start = start_state(self.layers, seed, state)
         self.iteration = start.iteration
-        self._pairs = param_index_pairs(start.params)
         flat0 = flatten_params(start.params)
         flat_vel0 = flatten_params(start.velocities)
         self.shard_map = ShardMap.balance([t.size for t in flat0], n_servers)
@@ -188,8 +175,9 @@ class PsCluster:
 
     def _rebuild(self, flat) -> list:
         """Copies of flat tensors, nested layer by layer like the model."""
-        return rebuild_params([t.copy() for t in flat], self._pairs,
-                              len(self.layers))
+        tensors = iter(flat)
+        return [[next(tensors).copy() for _ in param_shapes(layer)]
+                for layer in self.layers]
 
     def state(self) -> TrainState:
         """Authoritative training state, reassembled from the server shards."""
@@ -206,10 +194,7 @@ class PsCluster:
         loss_sum = 0.0
         for w_idx, w in enumerate(self.worker_ids):
             x, y = self.batch_fn(it, w_idx)
-            if x.shape[0] != self.spec.batch_k:
-                raise ShapeMismatch(
-                    f"worker batch has {x.shape[0]} samples, "
-                    f"expected batch_k={self.spec.batch_k}")
+            self.spec.check_batch(x)
             params = self.worker_params[w]
             out, caches = block_forward(self.layers, params, x, labels=y)
             _, g = block_backward(self.layers, params, caches, None)
@@ -230,7 +215,7 @@ class PsCluster:
                 sgd_step([[self._server_params[tid]] for tid in owned],
                          grads_nested, n, opt)
 
-    def train(self, iterations: int) -> PsResult:
+    def train(self, iterations: int) -> TrainResult:
         """Run `iterations` more iterations; may be called repeatedly."""
         losses = []
         tr = self.transport
@@ -247,8 +232,8 @@ class PsCluster:
                 self.worker_params[w] = self._rebuild(flat)
             losses.append(loss_sum / (self.n_workers * self.spec.batch_k))
             self.iteration += 1
-        return PsResult(losses=losses, state=self.state(),
-                        transport=self.transport, shard_map=self.shard_map)
+        return TrainResult(losses=losses, state=self.state(),
+                           transport=self.transport)
 
 
 def ps_traffic(spec: ModelSpec, *, n_workers: int, n_servers: int,

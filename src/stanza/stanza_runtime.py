@@ -33,12 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpointing import TrainState, start_state, state_to_bytes
+from .checkpointing import (TrainResult, TrainState, start_state,
+                            state_to_bytes)
 from .collectives import Group, allreduce_group
 from .model_partition import ConfigError, ModelSpec, Partition, split
 from .ps_runtime import equal_split
-from .tensor_core import (OptimizerState, ShapeMismatch, block_backward,
-                          block_forward, pack_vector, sgd_step, unpack_vector)
+from .tensor_core import (OptimizerState, block_backward, block_forward,
+                          pack_vector, sgd_step, unpack_vector)
 from .transport import (Message, NetConfig, NodeId, Role, SimTransport, Tag,
                         Timeout, payload_message)
 
@@ -170,14 +171,6 @@ def _exchange_phase(tr: SimTransport, layout: Layout, it: int, seed: int,
         return conv_sums, fc_sums
 
 
-@dataclass
-class StanzaResult:
-    """Outcome of a training call, mirroring the PS runtime's result."""
-    losses: list[float]
-    state: TrainState
-    transport: SimTransport
-
-
 class StanzaCluster:
     """A layer-separated deployment bound to one simulated network.
 
@@ -195,8 +188,6 @@ class StanzaCluster:
                  net: NetConfig | None = None, seed: int = 0,
                  boundary: int | None = None,
                  state: TrainState | None = None):
-        if lr <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
         self.spec = spec
         self.layers = spec.require_layers()
         self.partition: Partition = split(spec, boundary)
@@ -277,10 +268,7 @@ class StanzaCluster:
         conv_block = self.partition.conv_block
         for i, c in enumerate(self.conv_ids):
             x, y = self.batch_fn(it, i)
-            if x.shape[0] != self.spec.batch_k:
-                raise ShapeMismatch(
-                    f"CONV batch has {x.shape[0]} samples, "
-                    f"expected batch_k={self.spec.batch_k}")
+            self.spec.check_batch(x)
             a, cache = block_forward(conv_block, self.conv_params[c], x)
             acts[c], labels[c], caches[c] = a, y, cache
         return acts, labels, caches
@@ -317,7 +305,7 @@ class StanzaCluster:
                 grads = unpack_vector(fc_sums[f], self.fc_params[f])
                 sgd_step(self.fc_params[f], grads, n, self.fc_opt[f])
 
-    def train(self, iterations: int) -> StanzaResult:
+    def train(self, iterations: int) -> TrainResult:
         """Run `iterations` more iterations; may be called repeatedly."""
         losses = []
         conv_block = self.partition.conv_block
@@ -342,8 +330,8 @@ class StanzaCluster:
             self._update_phase(conv_sums, fc_sums)
             losses.append(loss_sum / (self.n_conv * self.spec.batch_k))
             self.iteration += 1
-        return StanzaResult(losses=losses, state=self.state(),
-                            transport=self.transport)
+        return TrainResult(losses=losses, state=self.state(),
+                           transport=self.transport)
 
 
 def stanza_traffic(spec: ModelSpec, *, n_conv: int, n_fc: int,

@@ -41,6 +41,10 @@ FLOAT = np.float32
 _CONV_CHUNK = 16
 
 
+class ConfigError(ValueError):
+    """A bad run input; the command line exits 2 on it."""
+
+
 class ShapeMismatch(ValueError):
     """Input shape is incompatible with the layer."""
 
@@ -368,14 +372,19 @@ def seeded_init(layers: Sequence[LayerKind], seed: int) -> list[list[np.ndarray]
 
 @dataclass
 class OptimizerState:
-    """Momentum-SGD state for one parameter set (a list of layer param lists)."""
+    """Momentum-SGD state for one parameter set (a list of layer param lists).
+
+    The one check of the learning rate and momentum; NaN fails both.
+    """
     lr: float
     momentum: float = 0.9
     velocity: list[list[np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
     @classmethod
     def for_params(cls, params, lr: float, momentum: float = 0.9) -> "OptimizerState":
@@ -487,22 +496,6 @@ def deserialize_params(blob: bytes) -> list[list[np.ndarray]]:
 def flatten_params(params) -> list[np.ndarray]:
     """All tensors of a nested parameter set, in layer order."""
     return [t for layer in params for t in layer]
-
-
-def param_index_pairs(params) -> list[tuple[int, int]]:
-    """(layer, slot) address of every tensor, aligned with flatten_params."""
-    return [(li, ti) for li, layer in enumerate(params)
-            for ti in range(len(layer))]
-
-
-def rebuild_params(flat, pairs, n_layers: int) -> list[list[np.ndarray]]:
-    """Inverse of flatten_params given the index pairs."""
-    nested: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    for (li, ti), t in zip(pairs, flat):
-        if ti != len(nested[li]):
-            raise ShapeMismatch("tensor index pairs out of order")
-        nested[li].append(t)
-    return nested
 
 
 def check_same_structure(reference, candidate, what: str) -> None:

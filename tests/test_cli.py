@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import stanza
-from stanza import cli
+from stanza import cli, harness
 from stanza.cli import build_parser, main
 from stanza.harness import CONFIG_TYPES, ExperimentConfig, MismatchedConfigs
 from stanza.model_partition import (BadBoundary, ConfigError, NoConvBlock,
@@ -131,9 +131,12 @@ class TestBadRunInputs:
         ("stanza", ["--model", "BOUNDARY_NEG"]),
         ("ps", ["--model", "BOUNDARY_0"]),
         ("single", ["--nodes", "9"]),
+        ("single", ["--seed", "-1"]),
+        ("stanza", ["--model", "alexnet", "--workers", "4", "--seed", "-1"]),
     ], ids=["momentum", "conv-time", "bandwidth", "bandwidth-nan", "latency",
             "lr", "model-file", "model-batch-k-0", "model-boundary-negative",
-            "model-boundary-0", "single-nodes"])
+            "model-boundary-0", "single-nodes", "seed-negative",
+            "counted-seed-negative"])
     def test_exits_2(self, tmp_path, capsys, mode, flags):
         for token, text in BAD_MODELS.items():
             (tmp_path / f"{token}.model").write_text(text)
@@ -142,6 +145,13 @@ class TestBadRunInputs:
         code, _, err = run_cli(["run", "--mode", mode, "--model", "tiny_cnn",
                                 "--seed", "1", "--iterations", "1"] + flags,
                                capsys)
+        assert code == 2
+        assert "configuration error" in err
+
+    def test_compare_negative_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("STANZA_SEED", "-1")
+        code, _, err = run_cli(["compare", "--model", "alexnet", "--seed", "1",
+                                "--iterations", "1", "--workers", "2"], capsys)
         assert code == 2
         assert "configuration error" in err
 
@@ -166,11 +176,23 @@ class TestBadPlanInputs:
         PLAN + ["--memory", "-1"],
         PLAN + ["--mode", "ps", "--memory", "2e7"],
         ["bench", "--model", "tiny_cnn", "--batch-k", "0", "--reps", "1"],
+        ["bench", "--model", "tiny_cnn", "--seed", "-1", "--reps", "1"],
     ], ids=["plan-batch-k-negative", "plan-batch-k-0", "plan-bandwidth-0",
             "plan-memory-nan", "plan-memory-negative", "plan-ps-memory",
-            "bench-batch-k-0"])
+            "bench-batch-k-0", "bench-seed-negative"])
     def test_exits_2(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "configuration error" in err
+        assert out == ""
+
+    def test_bench_checks_bandwidth_before_timing(self, capsys, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("bench ran a forward pass")
+
+        monkeypatch.setattr(harness, "block_forward", no_forward)
+        code, out, err = run_cli(["bench", "--model", "tiny_cnn",
+                                  "--bandwidth", "0"], capsys)
         assert code == 2
         assert "configuration error" in err
         assert out == ""

@@ -1,0 +1,73 @@
+"""Every top-level function and class in the package has a caller.
+
+A name counts as used when src/, demos/ or perfbench/ names it outside its
+own definition: as a name, an attribute, an import, or an identifier string
+(perfbench patches some functions by name). Tests do not count, so code
+kept alive by its own tests alone fails here.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stanza"
+USERS = (ROOT / "src", ROOT / "demos", ROOT / "perfbench")
+
+ALLOWED = {
+    # guarantee 7's rescaling of measured constants until communication
+    # dominates: only the acceptance test exercises it
+    "perf_model.comm_bound_constants",
+}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_in(node, skip: str | None = None):
+    """Every identifier node names in its subtree, except `skip`."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute):
+            name = sub.attr
+        elif isinstance(sub, ast.alias):
+            name = sub.name.rsplit(".", 1)[-1]
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            name = sub.value
+        else:
+            continue
+        if name.isidentifier() and name != skip:
+            yield name
+
+
+def _uses() -> Counter:
+    """How often each identifier is named, each top-level definition's own
+    name not counted inside that definition."""
+    uses = Counter()
+    for root in USERS:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body:
+                own = node.name if isinstance(node, DEFINITIONS) else None
+                uses.update(_names_in(node, skip=own))
+    return uses
+
+
+def _definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                yield f"{path.stem}.{node.name}", node.name
+
+
+def test_every_top_level_name_has_a_caller():
+    uses = _uses()
+    unused = sorted(qualified for qualified, name in _definitions()
+                    if not uses[name] and qualified not in ALLOWED)
+    assert unused == []
+
+
+def test_allow_list_is_current():
+    uses = _uses()
+    defined = dict(_definitions())
+    assert all(q in defined and not uses[defined[q]] for q in ALLOWED)

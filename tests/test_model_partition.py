@@ -8,12 +8,13 @@ import pytest
 from stanza.harness import resolve_model
 from stanza.model_partition import (BadBoundary, ConfigError, ModelSpec,
                                     NoConvBlock, NoFcLayer, NotExecutable,
-                                    PROFILES, builtin_model, count_params,
+                                    PROFILES, builtin_model,
                                     executable_spec, load_model_file,
                                     mlp_split, parse_model_text, profile_spec,
-                                    split, tiny_cnn, tiny_mlp)
+                                    split, tiny_cnn)
 from stanza.tensor_core import (Conv2d, Flatten, FullyConnected, MaxPool2d,
-                                ReLU, ShapeMismatch, SoftmaxCrossEntropy)
+                                ReLU, ShapeMismatch, SoftmaxCrossEntropy,
+                                param_count)
 
 
 def imagenet_style_mlp():
@@ -41,7 +42,7 @@ class TestSplit:
         # conv1: 8*3*9+8, conv2: 16*8*9+16, fc1: 256*128+128, fc2: 128*10+10
         assert part.conv_params == 224 + 1168
         assert part.fc_params == 32896 + 1290
-        total, _ = count_params(tiny_cnn())
+        total = sum(param_count(layer) for layer in tiny_cnn().layers)
         assert part.conv_params + part.fc_params == total == 35578
 
     def test_all_conv_params_stay_in_front_block(self):
@@ -101,22 +102,17 @@ class TestMlpSplit:
 
 class TestCounting:
     def test_alexnet_profile_counts(self):
-        total, rows = count_params(PROFILES["alexnet"])
+        part = split(PROFILES["alexnet"])
+        total = part.conv_params + part.fc_params
         assert total == pytest.approx(61.1e6, rel=1e-3)
-        breakdown = dict(rows)
-        assert breakdown["conv_block"] == pytest.approx(2.47e6, rel=1e-2)
-        assert breakdown["fc_block"] / total == pytest.approx(0.9596, abs=1e-3)
+        assert part.conv_params == pytest.approx(2.47e6, rel=1e-2)
+        assert part.fc_params / total == pytest.approx(0.9596, abs=1e-3)
 
     def test_vgg16_profile_counts(self):
-        total, rows = count_params(PROFILES["vgg16"])
-        breakdown = dict(rows)
+        part = split(PROFILES["vgg16"])
+        total = part.conv_params + part.fc_params
         assert total == pytest.approx(138e6, rel=5e-3)
-        assert breakdown["conv_block"] / total == pytest.approx(0.106, abs=2e-3)
-
-    def test_executable_breakdown_labels(self):
-        total, rows = count_params(tiny_mlp())
-        assert total == sum(c for _, c in rows)
-        assert rows[0][0] == "0:FullyConnected"
+        assert part.conv_params / total == pytest.approx(0.106, abs=2e-3)
 
 
 class TestSpecValidation:
@@ -142,6 +138,12 @@ class TestSpecValidation:
     def test_needs_layers_or_counts(self):
         with pytest.raises(ConfigError, match="neither"):
             ModelSpec(name="bare", batch_k=1)
+
+    def test_check_batch(self):
+        spec = tiny_cnn(batch_k=4)
+        spec.check_batch(np.zeros((4, *spec.input_shape), np.float32))
+        with pytest.raises(ShapeMismatch, match="batch_k=4"):
+            spec.check_batch(np.zeros((3, *spec.input_shape), np.float32))
 
     def test_profile_needs_positive_conv_share(self):
         with pytest.raises(ConfigError):

@@ -120,6 +120,15 @@ class TestTraining:
             PsCluster(spec, n_workers=1, n_servers=1,
                       batch_fn=make_batch_fn(spec, 0), lr=-0.1)
 
+    @pytest.mark.parametrize("setting", [{"lr": float("nan")},
+                                         {"lr": LR, "momentum": 1.5}],
+                             ids=["lr-nan", "momentum-1.5"])
+    def test_rejects_bad_optimizer_settings(self, setting):
+        spec = tiny_cnn()
+        with pytest.raises(ConfigError):
+            PsCluster(spec, n_workers=2, n_servers=1,
+                      batch_fn=make_batch_fn(spec, 0), **setting)
+
     def test_reordered_push_is_named_error(self):
         spec = tiny_cnn()
         cluster = PsCluster(spec, n_workers=2, n_servers=1,

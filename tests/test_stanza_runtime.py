@@ -104,6 +104,29 @@ class TestTraining:
         with pytest.raises(ConfigError):
             make_cluster(spec, 1, 2)
 
+    @pytest.mark.parametrize("setting", [{"lr": float("nan")},
+                                         {"lr": LR, "momentum": 1.5}],
+                             ids=["lr-nan", "momentum-1.5"])
+    def test_rejects_bad_optimizer_settings(self, setting):
+        spec = tiny_cnn()
+        with pytest.raises(ConfigError):
+            StanzaCluster(spec, n_conv=2, n_fc=1,
+                          batch_fn=make_batch_fn(spec, 0), **setting)
+
+    def test_rejects_wrong_batch_size(self):
+        spec = tiny_cnn()
+
+        def bad_batch(iteration, worker):
+            rng = np.random.default_rng(0)
+            return (rng.standard_normal((3, *spec.input_shape),
+                                        ).astype(np.float32),
+                    np.zeros(3, dtype=np.int64))
+
+        cluster = StanzaCluster(spec, n_conv=2, n_fc=1, batch_fn=bad_batch,
+                                lr=LR)
+        with pytest.raises(ShapeMismatch):
+            cluster.train(1)
+
     def test_failed_update_shuts_down(self, monkeypatch):
         cluster = make_cluster(tiny_cnn(), 2, 1)
         step = stanza_runtime.sgd_step

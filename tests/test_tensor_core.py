@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from stanza.tensor_core import (Conv2d, CorruptCheckpoint, Flatten,
-                                FullyConnected, MaxPool2d, OptimizerState,
-                                ReLU, ShapeMismatch, SoftmaxCrossEntropy,
+from stanza.tensor_core import (ConfigError, Conv2d, CorruptCheckpoint,
+                                Flatten, FullyConnected, MaxPool2d,
+                                OptimizerState, ReLU, ShapeMismatch,
+                                SoftmaxCrossEntropy,
                                 backward, block_backward, block_forward,
                                 deserialize_params, forward, out_shape,
                                 param_count, param_shapes, seeded_init,
@@ -418,6 +419,14 @@ class TestSgdStep:
     def test_momentum_range_checked(self):
         with pytest.raises(ValueError):
             OptimizerState(lr=0.1, momentum=1.0)
+
+    @pytest.mark.parametrize("lr,momentum", [
+        (0.0, 0.9), (-0.1, 0.9), (float("nan"), 0.9),
+        (0.1, 1.5), (0.1, -0.1), (0.1, float("nan")),
+    ])
+    def test_settings_are_config_errors(self, lr, momentum):
+        with pytest.raises(ConfigError):
+            OptimizerState(lr=lr, momentum=momentum)
 
     def test_grad_shape_checked(self):
         params = [[np.zeros(3, dtype=np.float32)]]
