@@ -660,8 +660,6 @@ def bench_constants(spec: ModelSpec, *, reps: int = 5, bandwidth: float = 10e9,
     """
     if reps < 1:
         raise ConfigError("reps must be at least 1")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
     measured = PerfConstants(bandwidth=bandwidth)
     part = split(spec, boundary)
     layers = spec.require_layers()

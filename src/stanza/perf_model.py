@@ -229,27 +229,6 @@ def speedup(part: Partition, total_nodes: int, c: PerfConstants) -> float:
     return t_ps / t_stanza
 
 
-def comm_bound_constants(c: PerfConstants, params_total: int,
-                         headroom: float = 1.5) -> PerfConstants:
-    """Rescale measured compute constants until wire time rules PS.
-
-    Returns constants whose conv_time equals headroom times the two-way
-    wire time of one full gradient set, with the other compute terms shrunk
-    by the same factor. Under them the busiest server link dominates every
-    PS iteration, while CONV compute still outweighs the far smaller
-    activation-plus-allreduce traffic, so extra workers keep paying off for
-    the layer-separated run and merely lengthen the PS queue.
-    """
-    if c.conv_time <= 0.0:
-        raise ConfigError("rescaling needs a measured conv_time > 0")
-    wire = 2 * params_total * BITS_PER_ELEMENT / c.bandwidth
-    scale = headroom * wire / c.conv_time
-    return PerfConstants(bandwidth=c.bandwidth,
-                         conv_time=c.conv_time * scale,
-                         fc_unit_time=c.fc_unit_time * scale,
-                         ps_compute_time=c.ps_compute_time * scale)
-
-
 def parse_constants_text(text: str) -> PerfConstants:
     """Parse a constants file: one `key value` pair per line.
 

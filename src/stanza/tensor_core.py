@@ -19,6 +19,22 @@ products are exact in float64, so another summation order moves a sum only
 by float64 rounding: results are exact on integer-valued inputs, and move by
 at most one float32 ulp elsewhere unless a sum cancels almost to zero.
 
+MaxPool2d and ReLU copy no windows. Pooling reads its k*k taps as strided
+views of the input, tap kh*k + kw holding cell (kh, kw) of every window. The
+output is a running np.maximum over the taps, which returns its second
+operand on a tie (the signed-zero tests pin this), so the earlier tap wins
++0.0 against -0.0 as under argmax. The cached tap number `arg`, of the
+smallest unsigned type that holds k*k - 1, counts the leading taps that hold
+neither the max nor a NaN; a NaN window thus picks its first NaN, and the
+output takes that NaN's bits (of two NaNs np.maximum keeps the later). With
+kernel <= stride the windows are disjoint, and the backward writes each
+tap's view once: the gradient's bits where `arg` names the tap, zero bits
+elsewhere (adding 0 first turns -0.0 into +0.0, as bincount's float64 sum
+from zero does). Overlapping windows keep one bincount scatter. ReLU's
+backward multiplies the gradient's uint32 bits by the forward's bool mask.
+All three are byte-identical to an argmax over gathered windows and to
+np.where, for every input.
+
 backward() and block_backward() take `input_grad`. Without it the input
 gradient is neither computed nor returned (it comes back as None); only the
 layer-separated FC step reads the gradient at a block's input, so
@@ -175,6 +191,22 @@ def _patches(xp: np.ndarray, k: int, s: int) -> np.ndarray:
     return cols.reshape(n, c * k * k, oh * ow)
 
 
+def _taps(x: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray]:
+    """Strided views of a batch, one per pooling tap in (kh, kw) order: tap
+    kh * k + kw holds that tap's cell under every (oh, ow) window."""
+    return [x[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s]
+            for kh in range(k) for kw in range(k)]
+
+
+def _max_index(arg: np.ndarray, k: int, s: int, x_shape) -> np.ndarray:
+    """Flat input index of each pooling window's max, from its tap number."""
+    n, c, h, w = x_shape
+    rows = (np.arange(arg.shape[2]) * s)[:, None] + arg // k
+    cols = np.arange(arg.shape[3]) * s + arg % k
+    planes = np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+    return planes + rows * w + cols
+
+
 def forward(layer: LayerKind, params: Sequence[np.ndarray], x: np.ndarray,
             labels: np.ndarray | None = None):
     """Run one layer over a batch. Returns (output, cache).
@@ -201,16 +233,23 @@ def forward(layer: LayerKind, params: Sequence[np.ndarray], x: np.ndarray,
         return out, xp
 
     if isinstance(layer, MaxPool2d):
-        n = len(x)
-        c, oh, ow = shape
         k, s = layer.kernel, layer.stride
-        # gather the k*k candidates per output cell, argmax picks the first max
-        cand = np.empty((n, c, oh, ow, k * k), dtype=x.dtype)
-        for kh in range(k):
-            for kw in range(k):
-                cand[..., kh * k + kw] = x[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s]
-        arg = cand.argmax(axis=-1)
-        out = np.take_along_axis(cand, arg[..., None], axis=-1)[..., 0]
+        taps = _taps(x, k, s, shape[1], shape[2])
+        # np.maximum returns its second operand on a tie (+0.0 vs -0.0), so
+        # the earlier tap wins it, as it does for argmax
+        out = taps[0].copy()
+        for v in taps[1:]:
+            np.maximum(v, out, out=out)
+        # arg counts the leading taps that hold neither the max nor a NaN
+        arg = np.zeros(out.shape, np.min_scalar_type(k * k - 1))
+        miss = np.ones(out.shape, dtype=bool)
+        for v in taps[:-1]:
+            miss &= (v != out) & (v == v)
+            arg += miss
+        # of two NaNs np.maximum keeps the later; argmax picks the first
+        nan = out != out
+        if nan.any():
+            out[nan] = x.ravel()[_max_index(arg, k, s, x.shape)[nan]]
         return out, (arg, x.shape)
 
     if isinstance(layer, Flatten):
@@ -283,17 +322,19 @@ def backward(layer: LayerKind, params: Sequence[np.ndarray], cache,
 
     if isinstance(layer, MaxPool2d):
         arg, x_shape = cache
-        n, c, h, w = x_shape
         k, s = layer.kernel, layer.stride
-        oh, ow = arg.shape[2], arg.shape[3]
-        # flat input index of each window's max; where windows overlap on one
-        # cell, bincount sums their gradients (in float64)
-        rows = (np.arange(oh) * s)[:, None] + arg // k
-        cols = np.arange(ow) * s + arg % k
-        planes = np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
-        gx = np.bincount((planes + rows * w + cols).ravel(),
-                         weights=gy.ravel(), minlength=n * c * h * w)
-        return gx.reshape(x_shape).astype(FLOAT), []
+        if k > s:
+            # overlapping windows: bincount sums a cell's gradients in float64
+            gx = np.bincount(_max_index(arg, k, s, x_shape).ravel(),
+                             weights=gy.ravel(), minlength=int(np.prod(x_shape)))
+            return gx.reshape(x_shape).astype(FLOAT), []
+        # disjoint windows: a cell takes at most one gradient; + 0 turns -0.0
+        # into +0.0 as bincount's sum does
+        g = (gy + 0).view(np.uint32)
+        gx = np.zeros(x_shape, dtype=FLOAT)
+        for t, view in enumerate(_taps(gx, k, s, arg.shape[2], arg.shape[3])):
+            view[...] = (g * (arg == t)).view(FLOAT)
+        return gx, []
 
     if isinstance(layer, Flatten):
         x_shape = cache
@@ -312,7 +353,7 @@ def backward(layer: LayerKind, params: Sequence[np.ndarray], cache,
 
     if isinstance(layer, ReLU):
         mask = cache
-        return np.where(mask, gy, 0).astype(FLOAT, copy=False), []
+        return (gy.view(np.uint32) * mask).view(FLOAT), []
 
     if isinstance(layer, SoftmaxCrossEntropy):
         probs, labels = cache
@@ -358,7 +399,10 @@ def seeded_init(layers: Sequence[LayerKind], seed: int) -> list[list[np.ndarray]
 
     One generator seeded once; tensors drawn in layer order, weight before
     bias, so the same (layers, seed) always yields bit-identical parameters.
+    A negative seed is a ConfigError.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     params: list[list[np.ndarray]] = []
     for layer in layers:

@@ -3,9 +3,11 @@
 Nothing here imports the code paths under test beyond plain data types: the
 finite-difference gradients drive layers only through their forward pass, the
 Conv2d reference loops over kernel positions instead of building patch
-matrices, the MaxPool2d reference scatters one kernel tap at a time instead
-of indexing every window's max at once, the tree-sum fold never touches the transport, and the planner
-oracle re-derives assignments by brute force from the closed-form times.
+matrices, the MaxPool2d reference gathers every window into one array for
+argmax where the library runs over strided views, the ReLU reference selects
+with np.where where the library masks bits, the tree-sum fold never touches
+the transport, and the planner oracle re-derives assignments by brute force
+from the closed-form times.
 """
 
 from __future__ import annotations
@@ -74,8 +76,10 @@ def conv2d_reference(layer, params, x: np.ndarray, gy: np.ndarray):
 
 
 def maxpool2d_reference(layer, x: np.ndarray, gy: np.ndarray):
-    """MaxPool2d with a per-tap backward: one masked float64 add per kernel
-    position (kh, kw), the first maximum of each window taking the gradient.
+    """MaxPool2d from a gather of each window's k*k candidates: argmax picks
+    the first maximum (the first NaN, if any), and the backward adds each
+    window's gradient to that cell with one masked float64 add per kernel
+    position (kh, kw).
 
     Returns (output, grad_input) as float32 for input x and output gradient gy.
     """
@@ -99,6 +103,12 @@ def maxpool2d_reference(layer, x: np.ndarray, gy: np.ndarray):
             mask = arg == (kh * k + kw)
             gx[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s] += np.where(mask, g64, 0.0)
     return out, gx.astype(np.float32)
+
+
+def relu_backward_reference(mask: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """ReLU input gradient by selection: gy where the forward input was
+    positive, +0.0 elsewhere."""
+    return np.where(mask, gy, 0).astype(np.float32, copy=False)
 
 
 def tree_sum(values: list[np.ndarray]) -> np.ndarray:

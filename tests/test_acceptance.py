@@ -16,8 +16,8 @@ from stanza.collectives import Group, allreduce_group, round_count
 from stanza.harness import ExperimentConfig, bench_constants, compare, execute
 from stanza.model_partition import builtin_model, split, tiny_cnn
 from stanza.perf_model import (PerfConstants, assign_nodes, assign_ps,
-                               comm_bound_constants, ps_iter_time, speedup,
-                               stanza_iter_time, v100_class_constants)
+                               ps_iter_time, speedup, stanza_iter_time,
+                               v100_class_constants)
 from stanza.ps_runtime import PsCluster, ps_traffic
 from stanza.stanza_runtime import StanzaCluster, stanza_traffic
 from stanza.tensor_core import (Conv2d, Flatten, FullyConnected, MaxPool2d,
@@ -26,7 +26,8 @@ from stanza.transport import NetConfig, NodeId, Role, SimTransport, Tag
 
 from oracles import best_split_reference
 from test_tensor_core import check_grads
-from trainers import make_batch_fn, max_param_dev, reference_train
+from trainers import (comm_bound_constants, make_batch_fn, max_param_dev,
+                      reference_train)
 
 ALEX = builtin_model("alexnet")
 ALEX_PART = split(ALEX)

@@ -186,6 +186,17 @@ class TestBadPlanInputs:
         assert "configuration error" in err
         assert out == ""
 
+    def test_bench_checks_seed_before_timing(self, capsys, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("bench ran a forward pass")
+
+        monkeypatch.setattr(harness, "block_forward", no_forward)
+        code, out, err = run_cli(["bench", "--model", "tiny_cnn",
+                                  "--seed", "-1"], capsys)
+        assert code == 2
+        assert "seed must be nonnegative" in err
+        assert out == ""
+
     def test_bench_checks_bandwidth_before_timing(self, capsys, monkeypatch):
         def no_forward(*args, **kwargs):
             raise AssertionError("bench ran a forward pass")

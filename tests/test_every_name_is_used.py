@@ -14,11 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stanza"
 USERS = (ROOT / "src", ROOT / "demos", ROOT / "perfbench")
 
-ALLOWED = {
-    # guarantee 7's rescaling of measured constants until communication
-    # dominates: only the acceptance test exercises it
-    "perf_model.comm_bound_constants",
-}
+ALLOWED: set[str] = set()
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

@@ -9,8 +9,8 @@ from oracles import best_ps_split_reference, best_split_reference, rel_err
 from stanza.model_partition import (ConfigError, builtin_model, profile_spec,
                                     split, tiny_cnn)
 from stanza.perf_model import (Infeasible, PerfConstants, assign_nodes,
-                               assign_ps, comm_bound_constants,
-                               format_constants_text, load_constants_file,
+                               assign_ps, format_constants_text,
+                               load_constants_file,
                                parse_constants_text, ps_iter_time,
                                ps_throughput, speedup, stanza_iter_time,
                                stanza_throughput, v100_class_constants,
@@ -18,6 +18,7 @@ from stanza.perf_model import (Infeasible, PerfConstants, assign_nodes,
 from stanza.ps_runtime import PsCluster, ps_traffic
 from stanza.stanza_runtime import StanzaCluster, stanza_traffic
 from stanza.transport import NetConfig
+from trainers import comm_bound_constants
 
 ALEX = split(builtin_model("alexnet"))
 ALEX_PARAMS = ALEX.conv_params + ALEX.fc_params

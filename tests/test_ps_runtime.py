@@ -129,6 +129,12 @@ class TestTraining:
             PsCluster(spec, n_workers=2, n_servers=1,
                       batch_fn=make_batch_fn(spec, 0), **setting)
 
+    def test_rejects_negative_seed(self):
+        spec = tiny_cnn()
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            PsCluster(spec, n_workers=2, n_servers=1,
+                      batch_fn=make_batch_fn(spec, 0), lr=LR, seed=-1)
+
     def test_reordered_push_is_named_error(self):
         spec = tiny_cnn()
         cluster = PsCluster(spec, n_workers=2, n_servers=1,

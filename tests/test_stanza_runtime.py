@@ -113,6 +113,12 @@ class TestTraining:
             StanzaCluster(spec, n_conv=2, n_fc=1,
                           batch_fn=make_batch_fn(spec, 0), **setting)
 
+    def test_rejects_negative_seed(self):
+        spec = tiny_cnn()
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            StanzaCluster(spec, n_conv=2, n_fc=1,
+                          batch_fn=make_batch_fn(spec, 0), lr=LR, seed=-1)
+
     def test_rejects_wrong_batch_size(self):
         spec = tiny_cnn()
 

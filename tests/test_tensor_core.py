@@ -14,7 +14,7 @@ from stanza.tensor_core import (ConfigError, Conv2d, CorruptCheckpoint,
 
 from stanza.model_partition import tiny_cnn
 from oracles import (conv2d_reference, finite_diff_grad, maxpool2d_reference,
-                     rel_err)
+                     rel_err, relu_backward_reference)
 
 
 def check_grads(layer, params, x, rng, labels=None, tol=1e-3, eps=1e-3):
@@ -255,14 +255,30 @@ def pool_pair(layer, x, gy):
     return [y, gx], list(maxpool2d_reference(layer, x, gy))
 
 
-class TestMaxPool2dAgainstReference:
-    """The one-scatter MaxPool2d backward against the per-tap masked adds."""
+def assert_same_bytes(got, want):
+    """float32 arrays equal bit for bit, so -0.0 differs from +0.0 and each
+    NaN keeps its payload."""
+    assert got.dtype == np.float32 and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
+
+# every kind of NaN a window can hold: quiet, negative, and with a payload
+NANS = np.array([0x7FC00000, 0xFFC00000, 0x7FC00123],
+                dtype=np.uint32).view(np.float32)
+
+
+class TestMaxPool2dAgainstReference:
+    """The strided-view MaxPool2d against an argmax over gathered windows
+    and per-tap masked adds, compared as bytes."""
+
+    # disjoint windows (kernel <= stride) and overlapping ones
     POOLS = [(2, 2), (3, 2), (3, 1), (2, 1), (3, 3), (2, 3)]
 
-    def draw_pair(self, layer, n, hw, draw):
-        x = draw((n, 3) + hw)
-        return x, draw((n,) + out_shape(layer, x.shape[1:]))
+    def check_exact(self, layer, n, hw, draw_x, draw_gy):
+        x = draw_x((n, 3) + hw)
+        gy = draw_gy((n,) + out_shape(layer, x.shape[1:]))
+        for got, want in zip(*pool_pair(layer, x, gy)):
+            assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("kernel,stride", POOLS)
     def test_exact_on_integer_inputs(self, rng, kernel, stride):
@@ -274,24 +290,75 @@ class TestMaxPool2dAgainstReference:
             return rng.integers(-3, 4, shape).astype(np.float32)
 
         for n in (1, 5, 16):
-            x, gy = self.draw_pair(layer, n, (9, 8), draw)
-            for got, want in zip(*pool_pair(layer, x, gy)):
-                assert got.dtype == np.float32 and got.shape == want.shape
-                np.testing.assert_array_equal(got, want)
+            self.check_exact(layer, n, (9, 8), draw, draw)
 
     @pytest.mark.parametrize("kernel,stride", POOLS)
     def test_within_one_ulp_on_gaussian_inputs(self, rng, kernel, stride):
+        """The output is a copy and exact; an overlapping cell's gradient is
+        a float64 sum in another order, so it may move by one ulp."""
         layer = MaxPool2d(kernel, stride)
 
         def draw(shape):
             return rng.standard_normal(shape).astype(np.float32)
 
         for n in (1, 7, 16):
-            x, gy = self.draw_pair(layer, n, (11, 10), draw)
+            x = draw((n, 3, 11, 10))
+            gy = draw((n,) + out_shape(layer, x.shape[1:]))
+            (y, gx), (y_ref, gx_ref) = pool_pair(layer, x, gy)
+            assert_same_bytes(y, y_ref)
+            if kernel <= stride:
+                assert_same_bytes(gx, gx_ref)
+            ulp = np.maximum(np.spacing(np.abs(gx)), np.spacing(np.abs(gx_ref)))
+            assert (np.abs(gx - gx_ref) <= ulp).all()
+
+    @pytest.mark.parametrize("kernel,stride", POOLS)
+    def test_signed_zero_ties(self, rng, kernel, stride):
+        """A window of -0.0 and +0.0 returns its first zero; a -0.0
+        gradient lands as +0.0."""
+        layer = MaxPool2d(kernel, stride)
+
+        def draw(shape):
+            return rng.choice(np.float32([0.0, -0.0, -1.0]), shape)
+
+        def draw_gy(shape):
+            return rng.choice(np.float32([0.0, -0.0, -2.0, 3.0]), shape)
+
+        for n in (1, 6):
+            self.check_exact(layer, n, (9, 8), draw, draw_gy)
+
+    @pytest.mark.parametrize("kernel,stride", POOLS)
+    def test_nan_windows(self, rng, kernel, stride):
+        """A window holding NaNs returns its first NaN, bits and all, and
+        routes the gradient there; infinities order as numbers."""
+        layer = MaxPool2d(kernel, stride)
+        values = np.concatenate([NANS, np.float32(
+            [np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])])
+
+        def draw(shape):
+            return rng.choice(values, shape)
+
+        def draw_gy(shape):
+            return rng.choice(np.float32([0.0, -0.0, -2.0, 3.0]), shape)
+
+        for n in (1, 6):
+            self.check_exact(layer, n, (9, 8), draw, draw_gy)
+
+    @pytest.mark.parametrize("kernel,stride", [(12, 12), (12, 5), (17, 4)])
+    def test_wide_kernels(self, rng, kernel, stride):
+        """Tap numbers past 127 and past 255: rising inputs put every
+        window's max on its last tap, a permutation anywhere."""
+        layer = MaxPool2d(kernel, stride)
+        hw = (kernel + 9, kernel + 7)
+        rising = np.arange(2 * 3 * hw[0] * hw[1], dtype=np.float32)
+
+        def draw(shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        for x in (rising.reshape((2, 3) + hw),
+                  rng.permutation(rising).reshape((2, 3) + hw)):
+            gy = draw((2,) + out_shape(layer, x.shape[1:]))
             for got, want in zip(*pool_pair(layer, x, gy)):
-                ulp = np.maximum(np.spacing(np.abs(got)),
-                                 np.spacing(np.abs(want)))
-                assert (np.abs(got - want) <= ulp).all()
+                assert_same_bytes(got, want)
 
     def test_exact_at_tiny_cnn_shapes(self, rng):
         """Gaussian data at the model's pooling shapes, batch 16."""
@@ -304,10 +371,36 @@ class TestMaxPool2dAgainstReference:
                 gy = rng.standard_normal(
                     (16,) + out_shape(layer, shape)).astype(np.float32)
                 for got, want in zip(*pool_pair(layer, x, gy)):
-                    np.testing.assert_array_equal(got, want)
+                    assert_same_bytes(got, want)
                 pools += 1
             shape = out_shape(layer, shape)
         assert pools == 2
+
+
+class TestReLUAgainstReference:
+    """The bit-masked ReLU backward against np.where, compared as bytes."""
+
+    SPECIALS = np.concatenate([NANS, np.float32(
+        [0.0, -0.0, np.inf, -np.inf, 1.5, -2.5])])
+
+    def check(self, x, gy):
+        _, mask = forward(ReLU(), [], x)
+        gx, grads = backward(ReLU(), [], mask, gy)
+        assert grads == []
+        assert_same_bytes(gx, relu_backward_reference(mask, gy))
+
+    def test_special_gradients_at_kept_and_dropped_cells(self):
+        """Each special gradient once where the input is positive and once
+        where it is not."""
+        gy = np.stack([self.SPECIALS, self.SPECIALS])
+        x = np.ones_like(gy)
+        x[1] = -1.0
+        self.check(x, gy)
+
+    def test_random_mix(self, rng):
+        x = rng.choice(self.SPECIALS, (5, 3, 7, 7))
+        gy = rng.choice(self.SPECIALS, x.shape)
+        self.check(x, gy)
 
 
 class TestInputGrad:
@@ -446,6 +539,10 @@ class TestSeededInit:
         c = seeded_init(layers, 43)
         assert any(not np.array_equal(ta, tc)
                    for la, lc in zip(a, c) for ta, tc in zip(la, lc))
+
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            seeded_init([FullyConnected(4, 2)], -1)
 
     def test_fan_in_bounds(self):
         layers = [FullyConnected(100, 50)]

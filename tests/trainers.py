@@ -1,7 +1,10 @@
-"""Shared training fixtures: seeded batches and a plain reference trainer."""
+"""Shared training fixtures: seeded batches, a plain reference trainer and
+communication-bound time constants."""
 
 import numpy as np
 
+from stanza.model_partition import ConfigError
+from stanza.perf_model import BITS_PER_ELEMENT, PerfConstants
 from stanza.tensor_core import block_backward, block_forward, seeded_init
 
 from oracles import rel_err
@@ -58,3 +61,24 @@ def reference_train(spec, n_workers, iterations, seed, data_seed,
 def max_param_dev(a, b):
     """Largest relative deviation across two nested parameter sets."""
     return max(rel_err(x, y) for la, lb in zip(a, b) for x, y in zip(la, lb))
+
+
+def comm_bound_constants(c: PerfConstants, params_total: int,
+                         headroom: float = 1.5) -> PerfConstants:
+    """Rescale measured compute constants until wire time rules PS.
+
+    Returns constants whose conv_time equals headroom times the two-way
+    wire time of one full gradient set, with the other compute terms shrunk
+    by the same factor. Under them the busiest server link dominates every
+    PS iteration, while CONV compute still outweighs the far smaller
+    activation-plus-allreduce traffic, so extra workers keep paying off for
+    the layer-separated run and merely lengthen the PS queue.
+    """
+    if c.conv_time <= 0.0:
+        raise ConfigError("rescaling needs a measured conv_time > 0")
+    wire = 2 * params_total * BITS_PER_ELEMENT / c.bandwidth
+    scale = headroom * wire / c.conv_time
+    return PerfConstants(bandwidth=c.bandwidth,
+                         conv_time=c.conv_time * scale,
+                         fc_unit_time=c.fc_unit_time * scale,
+                         ps_compute_time=c.ps_compute_time * scale)
