@@ -6,7 +6,8 @@ worker sweep, `plan` a node assignment from measured constants, and
 
 Each ExperimentConfig field is a `run` flag spelt with dashes (`batch_k` is
 `--batch-k`) and typed as the field, like its experiment-file key; flags
-override a `--config` file. `compare` takes _COMPARE_FIELDS the same way.
+override a `--config` file. `compare` takes harness.COMPARE_FIELDS, the
+fields both protocols share, the same way.
 
 The STANZA_SEED environment variable, when set, overrides the seed from
 both config files and flags, so a whole scripted sweep can be re-rolled
@@ -25,8 +26,8 @@ import os
 import sys
 from pathlib import Path
 
-from .harness import (_DATA, _MODES, CONFIG_TYPES, ExperimentConfig,
-                      NonFinite, bench_constants, compare,
+from .harness import (_DATA, _MODES, COMPARE_FIELDS, CONFIG_TYPES,
+                      ExperimentConfig, NonFinite, bench_constants, compare,
                       load_experiment_file, resolve_model, run)
 from .model_partition import ConfigError, split
 from .perf_model import (Infeasible, PerfConstants, best_split,
@@ -34,9 +35,6 @@ from .perf_model import (Infeasible, PerfConstants, best_split,
 
 _CONFIG_ERRORS = (ConfigError, FileNotFoundError)
 
-# ExperimentConfig fields that compare applies to both protocols' runs
-_COMPARE_FIELDS = ("model", "seed", "iterations", "epochs", "batch_k",
-                   "bandwidth", "latency", "epoch_samples", "boundary")
 _FIELD_CHOICES = {"mode": _MODES, "data": _DATA}
 _FIELD_HELP = {"model": "builtin name or model file path",
                "nodes": "plan the split for this node budget instead of "
@@ -111,7 +109,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             if getattr(args, required) is None:
                 raise ConfigError(f"--{required} is required without config "
                                   "files")
-        shared = _given(args, _COMPARE_FIELDS)
+        shared = _given(args, COMPARE_FIELDS)
         first = args.workers[0] if args.workers else 1
         ps_cfg = ExperimentConfig(mode="ps", workers=first,
                                   servers=args.servers, **shared)
@@ -178,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run both protocols and tabulate ratios")
     p_cmp.add_argument("--config-ps", dest="config_ps")
     p_cmp.add_argument("--config-stanza", dest="config_stanza")
-    _add_config_flags(p_cmp, _COMPARE_FIELDS)
+    _add_config_flags(p_cmp, COMPARE_FIELDS)
     p_cmp.add_argument("--servers", type=int, default=1)
     p_cmp.add_argument("--fc-workers", type=int, dest="fc_workers", default=1)
     p_cmp.add_argument("--workers", type=int, nargs="+",

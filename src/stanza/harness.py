@@ -568,8 +568,10 @@ def run(config: ExperimentConfig) -> RunReport:
     return report
 
 
-_SHARED_KNOBS = ("model", "batch_k", "bandwidth", "latency", "iterations",
-                 "epochs", "epoch_samples", "boundary", "data")
+# ExperimentConfig fields both protocols' configs must share; the compare
+# command takes exactly these as flags
+COMPARE_FIELDS = ("model", "seed", "iterations", "epochs", "batch_k",
+                  "bandwidth", "latency", "epoch_samples", "boundary", "data")
 
 
 def compare(ps_config: ExperimentConfig, stanza_config: ExperimentConfig,
@@ -579,8 +581,8 @@ def compare(ps_config: ExperimentConfig, stanza_config: ExperimentConfig,
 
     Speedup is the exact ratio of the two runs' logical-clock totals; the
     byte ratios follow the module counting rules. Both configs must agree
-    on every shared knob and each pair of runs must land on the same total
-    node count, so the comparison never mixes budgets.
+    on every COMPARE_FIELDS knob and each pair of runs must land on the same
+    total node count, so the comparison never mixes budgets.
     """
     if ps_config.mode != "ps":
         raise MismatchedConfigs(f"first config has mode {ps_config.mode!r}, "
@@ -588,7 +590,7 @@ def compare(ps_config: ExperimentConfig, stanza_config: ExperimentConfig,
     if stanza_config.mode != "stanza":
         raise MismatchedConfigs("second config has mode "
                                 f"{stanza_config.mode!r}, expected 'stanza'")
-    for knob in _SHARED_KNOBS:
+    for knob in COMPARE_FIELDS:
         a, b = getattr(ps_config, knob), getattr(stanza_config, knob)
         if a != b:
             raise MismatchedConfigs(f"{knob} differs: {a!r} vs {b!r}")

@@ -7,17 +7,19 @@ few ulps of a monolithic pass over the same samples. Backward passes return
 gradient *sums* over the batch; division by the global batch size happens
 exactly once, inside sgd_step.
 
-Conv2d runs as patch-matrix (im2col) contractions. Each chunk of at most
-_CONV_CHUNK samples is copied once into float64 patch matrices, one per
-sample, with a row per kernel tap (c, kh, kw) and a column per output cell
-(oh, ow). Forward is one matrix product of the reshaped weight with them;
-backward builds them again from the cached padded input, contracts them with
-the output gradient for the weight gradient, and scatters weight-times-
-gradient back over the k*k taps (col2im) for the input gradient. Only the
-padded input is cached, so no patch matrix outlives its chunk. float32
-products are exact in float64, so another summation order moves a sum only
-by float64 rounding: results are exact on integer-valued inputs, and move by
-at most one float32 ulp elsewhere unless a sum cancels almost to zero.
+Conv2d runs as patch-matrix (im2col) contractions. The forward casts its
+input once, into a zero-padded float64 copy, and caches that copy for the
+backward, so no patch is cast again. Each call allocates one float64 patch
+buffer of at most _CONV_CHUNK samples and refills it, chunk by chunk, from a
+read-only strided view of the padded input: per sample, a row per kernel tap
+(c, kh, kw) and a column per output cell (oh, ow). Forward is one matrix
+product of the reshaped weight with a chunk's patches; backward builds them
+again, contracts them with the output gradient for the weight gradient, and
+scatters weight-times-gradient back over the k*k taps (col2im) for the input
+gradient, writing that product into the spent patch buffer. float32 products
+are exact in float64, so another summation order moves a sum only by float64
+rounding: results are exact on integer-valued inputs, and move by at most one
+float32 ulp elsewhere unless a sum cancels almost to zero.
 
 MaxPool2d and ReLU copy no windows. Pooling reads its k*k taps as strided
 views of the input, tap kh*k + kw holding cell (kh, kw) of every window. The
@@ -48,12 +50,13 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 FLOAT = np.float32
 
-# Samples per Conv2d patch-matrix chunk. At tiny_cnn's first layer 16 samples
-# take 0.9 MB of float64 patches; a whole 64-sample batch would take 3.5 MB.
+# Samples per Conv2d patch-matrix chunk, and so the size of the one float64
+# patch buffer a call refills per chunk: 0.9 MB at tiny_cnn's first layer,
+# where a whole 64-sample batch would take 3.5 MB.
 _CONV_CHUNK = 16
 
 
@@ -181,13 +184,16 @@ def out_shape(layer: LayerKind, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _patches(xp: np.ndarray, k: int, s: int) -> np.ndarray:
-    """float64 patch matrices (n, c*k*k, oh*ow) of a padded batch: per
-    sample, row (c, kh, kw) holds that tap's input under every output cell."""
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    n, c, oh, ow = win.shape[:4]
-    cols = np.empty((n, c, k, k, oh, ow))
-    cols[...] = win.transpose(0, 1, 4, 5, 2, 3)
+def _patches(xp: np.ndarray, s: int, buf: np.ndarray) -> np.ndarray:
+    """Fill buf[:n] with the patch matrices of a padded float64 batch of n
+    samples and return them as (n, c*k*k, oh*ow): per sample, row (c, kh, kw)
+    holds that tap's input under every output cell. buf is (chunk, c, k, k,
+    oh, ow) float64, and the windows are read through one strided view."""
+    sn, sc, sh, sw = xp.strides
+    cols = buf[:len(xp)]
+    cols[...] = as_strided(xp, cols.shape, (sn, sc, sh, sw, s * sh, s * sw),
+                           writeable=False)
+    n, c, k, _, oh, ow = cols.shape
     return cols.reshape(n, c * k * k, oh * ow)
 
 
@@ -218,16 +224,22 @@ def forward(layer: LayerKind, params: Sequence[np.ndarray], x: np.ndarray,
     """
     shape = out_shape(layer, x.shape[1:])
     if isinstance(layer, Conv2d):
-        n = len(x)
+        n, c, h, wd = x.shape
         w, b = params
         p, s, k = layer.padding, layer.stride, layer.kernel
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        oh, ow = shape[1], shape[2]
+        # the one float32 -> float64 cast; backward reads this pad too
+        xp = np.zeros((n, c, h + 2 * p, wd + 2 * p))
+        xp[:, :, p:p + h, p:p + wd] = x
         wmat = w.reshape(layer.out_ch, -1).astype(np.float64)
         b64 = b.astype(np.float64)[:, None]
+        buf = np.empty((min(n, _CONV_CHUNK), c, k, k, oh, ow))
+        ybuf = np.empty((len(buf), layer.out_ch, oh * ow))
         out = np.empty((n, *shape), dtype=FLOAT)
-        rows = out.reshape(n, layer.out_ch, shape[1] * shape[2])
+        rows = out.reshape(n, layer.out_ch, oh * ow)
         for lo in range(0, n, _CONV_CHUNK):
-            y = wmat @ _patches(xp[lo:lo + _CONV_CHUNK], k, s)
+            cols = _patches(xp[lo:lo + _CONV_CHUNK], s, buf)
+            y = np.matmul(wmat, cols, out=ybuf[:len(cols)])
             y += b64
             rows[lo:lo + _CONV_CHUNK] = y
         return out, xp
@@ -240,15 +252,19 @@ def forward(layer: LayerKind, params: Sequence[np.ndarray], x: np.ndarray,
         out = taps[0].copy()
         for v in taps[1:]:
             np.maximum(v, out, out=out)
+        # np.maximum propagates NaN, so no tap holds one unless out does
+        nan = out != out
+        has_nan = nan.any()
         # arg counts the leading taps that hold neither the max nor a NaN
         arg = np.zeros(out.shape, np.min_scalar_type(k * k - 1))
         miss = np.ones(out.shape, dtype=bool)
         for v in taps[:-1]:
-            miss &= (v != out) & (v == v)
+            miss &= v != out
+            if has_nan:
+                miss &= v == v
             arg += miss
         # of two NaNs np.maximum keeps the later; argmax picks the first
-        nan = out != out
-        if nan.any():
+        if has_nan:
             out[nan] = x.ravel()[_max_index(arg, k, s, x.shape)[nan]]
         return out, (arg, x.shape)
 
@@ -302,12 +318,17 @@ def backward(layer: LayerKind, params: Sequence[np.ndarray], cache,
         g64 = gy.reshape(n, layer.out_ch, oh * ow).astype(np.float64)
         gw = np.zeros(wmat.shape)
         gxp = np.zeros(xp.shape) if input_grad else None
+        buf = np.empty((min(n, _CONV_CHUNK), c, k, k, oh, ow))
+        gwbuf = np.empty((len(buf), *wmat.shape))
         for lo in range(0, n, _CONV_CHUNK):
             g = g64[lo:lo + _CONV_CHUNK]
-            cols = _patches(xp[lo:lo + _CONV_CHUNK], k, s)
-            gw += (g @ cols.transpose(0, 2, 1)).sum(axis=0)
+            cols = _patches(xp[lo:lo + _CONV_CHUNK], s, buf)
+            gw += np.matmul(g, cols.transpose(0, 2, 1),
+                            out=gwbuf[:len(g)]).sum(axis=0)
             if input_grad:
-                gcols = (wmat.T @ g).reshape(len(g), c, k, k, oh, ow)
+                # the chunk's patches are spent, so w^T g takes their buffer
+                np.matmul(wmat.T, g, out=cols)
+                gcols = buf[:len(g)]
                 dst = gxp[lo:lo + _CONV_CHUNK]
                 for kh in range(k):
                     for kw in range(k):

@@ -1,9 +1,11 @@
 """Independent reference implementations the tests check the library against.
 
 Nothing here imports the code paths under test beyond plain data types: the
-finite-difference gradients drive layers only through their forward pass, the
+finite-difference gradients drive layers only through their forward pass, one
 Conv2d reference loops over kernel positions instead of building patch
-matrices, the MaxPool2d reference gathers every window into one array for
+matrices while the other builds fresh float64 patch matrices from a float32
+pad through sliding_window_view, where the library casts once into a float64
+pad and refills one patch buffer per call, the MaxPool2d reference gathers every window into one array for
 argmax where the library runs over strided views, the ReLU reference selects
 with np.where where the library masks bits, the tree-sum fold never touches
 the transport, and the planner oracle re-derives assignments by brute force
@@ -13,6 +15,7 @@ from the closed-form times.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def finite_diff_grad(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -73,6 +76,63 @@ def conv2d_reference(layer, params, x: np.ndarray, gy: np.ndarray):
     gx = gxp[:, :, p:hp - p, p:wp - p] if p else gxp
     return (acc.astype(np.float32), gx.astype(np.float32),
             [gw.astype(np.float32), gb.astype(np.float32)])
+
+
+_PATCH_CHUNK = 16
+
+
+def _patch_matrices(xp: np.ndarray, k: int, s: int) -> np.ndarray:
+    """float64 (n, c*k*k, oh*ow) patch matrices of a padded float32 batch,
+    copied and cast through a transposed sliding-window view."""
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    n, c, oh, ow = win.shape[:4]
+    cols = np.empty((n, c, k, k, oh, ow))
+    cols[...] = win.transpose(0, 1, 4, 5, 2, 3)
+    return cols.reshape(n, c * k * k, oh * ow)
+
+
+def conv2d_patch_reference(layer, params, x: np.ndarray, gy: np.ndarray):
+    """Patch-matrix Conv2d as the library first wrote it: np.pad in float32,
+    fresh float64 patch matrices per chunk of 16 samples, built again in the
+    backward, a per-sample weight-gradient product summed over the chunk,
+    and a col2im scatter tap by tap.
+
+    Returns (output, grad_input, [grad_weight, grad_bias]) as float32, with
+    every float64 sum in the library's order, so the results must agree
+    byte for byte.
+    """
+    w, b = params
+    p, s, k = layer.padding, layer.stride, layer.kernel
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    n, c, hp, wp = xp.shape
+    oh = (hp - k) // s + 1
+    ow = (wp - k) // s + 1
+    wmat = w.reshape(layer.out_ch, -1).astype(np.float64)
+    b64 = b.astype(np.float64)[:, None]
+    out = np.empty((n, layer.out_ch, oh, ow), dtype=np.float32)
+    rows = out.reshape(n, layer.out_ch, oh * ow)
+    for lo in range(0, n, _PATCH_CHUNK):
+        y = wmat @ _patch_matrices(xp[lo:lo + _PATCH_CHUNK], k, s)
+        y += b64
+        rows[lo:lo + _PATCH_CHUNK] = y
+
+    g64 = gy.reshape(n, layer.out_ch, oh * ow).astype(np.float64)
+    gw = np.zeros(wmat.shape)
+    gxp = np.zeros(xp.shape)
+    for lo in range(0, n, _PATCH_CHUNK):
+        g = g64[lo:lo + _PATCH_CHUNK]
+        cols = _patch_matrices(xp[lo:lo + _PATCH_CHUNK], k, s)
+        gw += (g @ cols.transpose(0, 2, 1)).sum(axis=0)
+        gcols = (wmat.T @ g).reshape(len(g), c, k, k, oh, ow)
+        dst = gxp[lo:lo + _PATCH_CHUNK]
+        for kh in range(k):
+            for kw in range(k):
+                dst[:, :, kh:kh + s * oh:s, kw:kw + s * ow:s] += \
+                    gcols[:, :, kh, kw]
+    gb = g64.sum(axis=(0, 2))
+    gx = gxp[:, :, p:hp - p, p:wp - p] if p else gxp
+    return (out, gx.astype(np.float32),
+            [gw.reshape(w.shape).astype(np.float32), gb.astype(np.float32)])
 
 
 def maxpool2d_reference(layer, x: np.ndarray, gy: np.ndarray):

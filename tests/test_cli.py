@@ -245,6 +245,7 @@ class TestFlagSchema:
                      "--latency": ("latency", float),
                      "--epoch-samples": ("epoch_samples", int),
                      "--boundary": ("boundary", int),
+                     "--data": ("data", str),
                      "--servers": ("servers", int),
                      "--fc-workers": ("fc_workers", int),
                      "--workers": ("workers", int),
@@ -293,6 +294,18 @@ class TestCompareCommand:
         ps.write_text("mode ps\nmodel tiny_cnn\nseed 1\niterations 1\n")
         code, _, err = run_cli(["compare", "--config-ps", str(ps)], capsys)
         assert code == 2
+
+    def test_data_flag(self, tmp_path, capsys):
+        """--data reaches both protocols' configs; separable data needs
+        epoch_samples."""
+        args = ["compare", "--model", "tiny_cnn", "--seed", "1",
+                "--iterations", "1", "--workers", "2", "--data", "separable"]
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert "epoch_samples" in err
+        code, out, _ = run_cli(args + ["--epoch-samples", "64"], capsys)
+        assert code == 0
+        assert "tiny_cnn" in out
 
     def test_mismatched_configs_exit_code(self, tmp_path, capsys):
         ps = tmp_path / "ps.experiment"

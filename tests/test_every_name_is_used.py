@@ -1,9 +1,12 @@
-"""Every top-level function and class in the package has a caller.
+"""Every top-level function and class in the package has a caller, and
+every module-level import in it is used by its own module.
 
 A name counts as used when src/, demos/ or perfbench/ names it outside its
 own definition: as a name, an attribute, an import, or an identifier string
 (perfbench patches some functions by name). Tests do not count, so code
-kept alive by its own tests alone fails here.
+kept alive by its own tests alone fails here. An import counts as used when
+its module names what it binds outside import statements; `__future__`
+imports bind nothing.
 """
 
 import ast
@@ -67,3 +70,33 @@ def test_allow_list_is_current():
     uses = _uses()
     defined = dict(_definitions())
     assert all(q in defined and not uses[defined[q]] for q in ALLOWED)
+
+
+def _unused_imports(tree: ast.Module):
+    """Names bound by the module's top-level imports that it never names."""
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    named = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return [name for name in bound if name not in named]
+
+
+def test_every_import_is_used_by_its_module():
+    unused = sorted(f"{path.stem}.{name}"
+                    for path in sorted(PACKAGE.glob("*.py"))
+                    for name in _unused_imports(
+                        ast.parse(path.read_text(encoding="utf-8"))))
+    assert unused == []
+
+
+def test_unused_import_check_catches_a_leftover():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import numpy as np\n"
+                     "import os.path\n"
+                     "from numpy.lib.stride_tricks import (as_strided,\n"
+                     "                                     sliding_window_view)\n"
+                     "def f(x):\n"
+                     "    return as_strided(np.asarray(x), os.path.sep)\n")
+    assert _unused_imports(tree) == ["sliding_window_view"]

@@ -387,6 +387,16 @@ class TestCompare:
         with pytest.raises(MismatchedConfigs):
             compare(ps, dataclasses.replace(st, bandwidth=1e9))
 
+    def test_rejects_unequal_seeds(self):
+        ps, st = self.pair()
+        with pytest.raises(MismatchedConfigs, match="seed"):
+            compare(ps, dataclasses.replace(st, seed=4))
+
+    def test_rejects_unequal_data(self):
+        ps, st = self.pair(epoch_samples=4096)
+        with pytest.raises(MismatchedConfigs, match="data"):
+            compare(ps, dataclasses.replace(st, data="separable"))
+
     def test_rejects_unequal_node_budgets(self):
         ps, st = self.pair()
         with pytest.raises(MismatchedConfigs):

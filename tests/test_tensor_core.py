@@ -13,7 +13,8 @@ from stanza.tensor_core import (ConfigError, Conv2d, CorruptCheckpoint,
                                 serialize_params, sgd_step)
 
 from stanza.model_partition import tiny_cnn
-from oracles import (conv2d_reference, finite_diff_grad, maxpool2d_reference,
+from oracles import (conv2d_patch_reference, conv2d_reference,
+                     finite_diff_grad, maxpool2d_reference,
                      rel_err, relu_backward_reference)
 
 
@@ -403,8 +404,83 @@ class TestReLUAgainstReference:
         self.check(x, gy)
 
 
+class TestConv2dAgainstPatchReference:
+    """Conv2d against the float32-pad, fresh-patch-matrix kernel it replaced,
+    compared as bytes: every float64 sum keeps its order, so NaN bits and
+    signed zeros must come out the same too."""
+
+    BATCHES = (1, 7, 16, 17, 64)
+    SPECIALS = np.concatenate([NANS, np.float32([np.inf, -np.inf, -0.0])])
+
+    def check(self, layer, params, x, gy):
+        with np.errstate(invalid="ignore", over="ignore"):
+            y, cache = forward(layer, params, x)
+            gx, grads = backward(layer, params, cache, gy)
+            no_gx, grads_only = backward(layer, params, cache, gy,
+                                         input_grad=False)
+            ry, rgx, rgrads = conv2d_patch_reference(layer, params, x, gy)
+        assert no_gx is None
+        for got, want in zip([y, gx] + grads + grads_only,
+                             [ry, rgx] + rgrads + rgrads):
+            assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_gaussian(self, rng, kernel, stride, padding):
+        layer = Conv2d(3, 4, kernel, stride, padding)
+
+        def draw(shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        for n in self.BATCHES:
+            self.check(layer, *conv_inputs(layer, n, (9, 8), draw))
+
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("operand", ["x", "w", "gy"])
+    def test_cancelling_sums(self, rng, kernel, stride, padding, operand):
+        """+-1 everywhere and a few +-2**60 in one operand: every product is
+        exact, and a float64 sum drops each 1 it adds while a 2**60 is
+        pending, so where the big terms cancel the result counts the ones
+        the summation order kept. Gaussian sums rarely show a reordering
+        once rounded to float32; these show it at once."""
+        layer = Conv2d(3, 4, kernel, stride, padding)
+        ones = np.float32([1, -1])
+
+        def draw(shape):
+            return rng.choice(ones, shape)
+
+        for n in self.BATCHES:
+            (w, b), x, gy = conv_inputs(layer, n, (9, 8), draw)
+            target = {"x": x, "w": w, "gy": gy}[operand]
+            big = rng.random(target.shape) < 0.1
+            target[big] *= np.float32(2**60)
+            self.check(layer, [w, b], x, gy)
+
+    @pytest.mark.parametrize("operand", ["x", "w", "gy"])
+    @pytest.mark.parametrize("kernel,stride,padding",
+                             [(3, 1, 1), (2, 2, 0), (5, 3, 2), (1, 1, 0),
+                              (4, 1, 2)])
+    def test_non_finite(self, rng, operand, kernel, stride, padding):
+        """+-inf, three NaN bit patterns and -0.0 scattered through one
+        operand of Gaussian data."""
+        layer = Conv2d(3, 4, kernel, stride, padding)
+
+        def draw(shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        for n in self.BATCHES:
+            (w, b), x, gy = conv_inputs(layer, n, (9, 8), draw)
+            target = {"x": x, "w": w, "gy": gy}[operand]
+            hit = rng.random(target.shape) < 0.05
+            target[hit] = rng.choice(self.SPECIALS, int(hit.sum()))
+            self.check(layer, [w, b], x, gy)
+
+
 class TestInputGrad:
-    LAYERS = [Conv2d(2, 3, 3, 1, 1), ReLU(), MaxPool2d(2, 2), Flatten(),
+    LAYERS =[Conv2d(2, 3, 3, 1, 1), ReLU(), MaxPool2d(2, 2), Flatten(),
               FullyConnected(3 * 3 * 3, 8), SoftmaxCrossEntropy()]
 
     @pytest.mark.parametrize("start", [0, 4])
