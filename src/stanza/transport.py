@@ -9,9 +9,11 @@ The runtimes execute every phase on the calling thread: first the sending
 nodes' steps, then the receiving nodes' steps in node order, each receive
 with timeout=0. A message that was never sent therefore raises Timeout at
 once instead of after a wall-clock wait, and phase() shuts the transport
-down so the failed phase's leftovers are never read. recv() with a positive
-timeout blocks until a match arrives; it serves callers that run one thread
-per node, such as run_node_threads.
+down so the failed phase's leftovers are never read. Every method holds one
+plain lock. recv() with a positive timeout blocks until a match arrives,
+waiting on a condition built on that lock; it serves callers that run one
+thread per node, such as run_node_threads. send() notifies only while a
+receiver waits, so a run on one thread never touches the condition.
 
 Time is logical, not wall-clock. The run driver brackets protocol steps in
 *phases*; when a phase closes, the clock advances by the phase's bottleneck
@@ -100,7 +102,7 @@ class LedgerInvariant(AssertionError):
     phases and bytes that do not divide evenly into iterations."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     src: NodeId
     dst: NodeId
@@ -165,7 +167,7 @@ class PhaseRecord:
     elapsed: float
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageRecord:
     phase: str
     phase_index: int
@@ -195,16 +197,17 @@ class TrafficLedger:
         self.phases: list[PhaseRecord] = []
         self.messages: list[MessageRecord] = []
 
-    def observe(self, msg: Message, phase: str, phase_index: int) -> None:
-        wire = msg.payload_bytes + HEADER_BYTES
+    def observe(self, msg: Message, phase: str, phase_index: int,
+                nbytes: int) -> None:
+        """Count one delivered message whose payload is nbytes long."""
+        wire = nbytes + HEADER_BYTES
         self.node_sent[msg.src] = self.node_sent.get(msg.src, 0) + wire
         self.node_received[msg.dst] = self.node_received.get(msg.dst, 0) + wire
-        self.tag_payload_bytes[msg.tag] += msg.payload_bytes
+        self.tag_payload_bytes[msg.tag] += nbytes
         self.tag_messages[msg.tag] += 1
         self.messages.append(MessageRecord(
-            phase=phase, phase_index=phase_index, src=msg.src, dst=msg.dst,
-            tag=msg.tag, op=msg.op, round=msg.round,
-            payload_bytes=msg.payload_bytes))
+            phase, phase_index, msg.src, msg.dst, msg.tag, msg.op, msg.round,
+            nbytes))
 
     # -- queries ------------------------------------------------------------
 
@@ -307,7 +310,9 @@ class SimTransport:
     def __init__(self, net: NetConfig | None = None):
         self.net = net or NetConfig()
         self.ledger = TrafficLedger()
-        self._cv = threading.Condition()
+        self._lock = threading.Lock()
+        self._cv = threading.Condition(self._lock)
+        self._waiters = 0   # receivers blocked in recv's wait
         self._queues: dict[NodeId, deque[Message]] = {}
         self._shutdown = False
         self._phase = "setup"
@@ -317,7 +322,7 @@ class SimTransport:
     # -- membership ----------------------------------------------------------
 
     def register(self, node: NodeId) -> None:
-        with self._cv:
+        with self._lock:
             if node in self._queues:
                 raise ValueError(f"{node} already registered")
             self._queues[node] = deque()
@@ -333,40 +338,44 @@ class SimTransport:
     # -- messaging ------------------------------------------------------------
 
     def send(self, msg: Message) -> None:
+        nbytes = msg.payload_bytes
         if msg.payload is not None and msg.tag in TENSOR_TAGS:
-            if len(msg.payload) != BYTES_PER_ELEMENT * msg.payload_elements:
+            if nbytes != BYTES_PER_ELEMENT * msg.payload_elements:
                 raise ValueError(
-                    f"{msg.tag.value} payload is {len(msg.payload)} bytes for "
+                    f"{msg.tag.value} payload is {nbytes} bytes for "
                     f"{msg.payload_elements} elements")
-        with self._cv:
+        with self._lock:
             if self._shutdown:
                 raise ClusterShutDown("transport is shut down")
             if msg.src not in self._queues:
                 raise UnknownNode(f"unregistered sender {msg.src}")
-            if msg.dst not in self._queues:
+            q = self._queues.get(msg.dst)
+            if q is None:
                 raise UnknownNode(f"unregistered destination {msg.dst}")
-            self.ledger.observe(msg, self._phase, self._phase_index)
-            self._phase_transfers.append((msg.src, msg.dst, msg.payload_bytes))
-            self._queues[msg.dst].append(msg)
-            self._cv.notify_all()
+            self.ledger.observe(msg, self._phase, self._phase_index, nbytes)
+            self._phase_transfers.append((msg.src, msg.dst, nbytes))
+            q.append(msg)
+            if self._waiters:
+                self._cv.notify_all()
 
     def recv(self, dst: NodeId, tag: Tag | None = None,
              src: NodeId | None = None, timeout: float | None = None) -> Message:
         """Earliest queued message for dst matching the tag/source filter.
 
-        Waits up to `timeout` wall seconds (default NetConfig.default_timeout)
-        for a match, then raises Timeout; timeout=0 raises at once.
+        Looks in dst's queue first, under the transport's one lock. Without
+        a match it waits up to `timeout` wall seconds (default
+        NetConfig.default_timeout) on the condition built on that lock,
+        counted as a waiter so that send() notifies it, then raises Timeout;
+        timeout=0 raises at once.
         """
-        if timeout is None:
-            timeout = self.net.default_timeout
-        deadline = time.monotonic() + timeout
-        with self._cv:
-            if dst not in self._queues:
+        with self._lock:
+            q = self._queues.get(dst)
+            if q is None:
                 raise UnknownNode(f"unregistered receiver {dst}")
+            deadline = None
             while True:
                 if self._shutdown:
                     raise ClusterShutDown("transport is shut down")
-                q = self._queues[dst]
                 for i, m in enumerate(q):
                     if tag is not None and m.tag is not tag:
                         continue
@@ -374,27 +383,35 @@ class SimTransport:
                         continue
                     del q[i]
                     return m
+                if deadline is None:
+                    if timeout is None:
+                        timeout = self.net.default_timeout
+                    deadline = time.monotonic() + timeout
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise Timeout(f"{dst} timed out waiting for "
                                   f"tag={tag and tag.value} src={src}")
-                self._cv.wait(remaining)
+                self._waiters += 1
+                try:
+                    self._cv.wait(remaining)
+                finally:
+                    self._waiters -= 1
 
     def shutdown(self) -> None:
-        with self._cv:
+        with self._lock:
             self._shutdown = True
             self._cv.notify_all()
 
     # -- phases / logical clock ----------------------------------------------
 
     def begin_phase(self, label: str) -> None:
-        with self._cv:
+        with self._lock:
             self._phase = label
             self._phase_transfers = []
 
     def end_phase(self) -> float:
         """Close the current phase, advance the clock, return elapsed seconds."""
-        with self._cv:
+        with self._lock:
             elapsed = phase_elapsed(self._phase_transfers, self.net)
             self.ledger.logical_clock += elapsed
             self.ledger.phases.append(PhaseRecord(self._phase, elapsed))
@@ -422,7 +439,7 @@ class SimTransport:
         """Charge injected compute time as a zero-byte phase."""
         if seconds < 0:
             raise ValueError("compute time must be nonnegative")
-        with self._cv:
+        with self._lock:
             self.ledger.logical_clock += seconds
             self.ledger.phases.append(PhaseRecord(label, seconds))
             self._phase_index += 1

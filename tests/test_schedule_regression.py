@@ -98,6 +98,29 @@ def test_output_pinned_and_threadless(case, tmp_path, no_threads):
     assert case_digest(case, tmp_path) == PINNED[case]
 
 
+def test_sequential_runs_never_touch_the_condition(monkeypatch):
+    """Only a receiver that waits needs the transport's condition; every
+    phase runs on one thread, so no wait and no notify happens."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("condition variable used")
+    monkeypatch.setattr(threading.Condition, "wait", refuse)
+    monkeypatch.setattr(threading.Condition, "notify_all", refuse)
+    transports = [
+        stanza_traffic(builtin_model("alexnet"), n_conv=33, n_fc=3,
+                       iterations=2, net=NET),
+        ps_traffic(builtin_model("vgg16"), n_workers=5, n_servers=2,
+                   iterations=2, net=NET),
+    ]
+    spec = tiny_mlp()
+    kw = dict(batch_fn=make_batch_fn(spec, 13), lr=LR, momentum=MU, net=NET,
+              seed=9)
+    for cluster in (StanzaCluster(spec, n_conv=5, n_fc=2, boundary=4, **kw),
+                    PsCluster(spec, n_workers=5, n_servers=2, **kw)):
+        transports.append(cluster.train(2).transport)
+    for tr in transports:
+        assert tr.ledger.messages
+
+
 def test_matrix_is_fully_pinned():
     assert sorted(_cases()) == sorted(PINNED)
 

@@ -1,6 +1,9 @@
 """Simulated network: delivery semantics, byte accounting, logical clock."""
 
+import sys
 import threading
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -75,10 +78,32 @@ class TestDelivery:
         t.join(5.0)
         assert got["msg"].payload_elements == 3
 
+    def test_send_wakes_a_waiting_receiver(self):
+        """Once the receiver counts as a waiter, send must notify it."""
+        tr = make_transport()
+        got = {}
+
+        def receiver():
+            got["msg"] = tr.recv(S0, tag=Tag.CONTROL, timeout=5.0)
+
+        t = threading.Thread(target=receiver)
+        t.start()
+        deadline = time.monotonic() + 5.0
+        while (tr._waiters != 1 and t.is_alive()
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        assert tr._waiters == 1
+        tr.send(counted_message(W0, S0, Tag.CONTROL, 3))
+        t.join(5.0)
+        assert not t.is_alive()
+        assert got["msg"].payload_elements == 3
+        assert tr._waiters == 0
+
     def test_timeout(self):
         tr = make_transport()
         with pytest.raises(Timeout):
             tr.recv(S0, tag=Tag.CONTROL, timeout=0.05)
+        assert tr._waiters == 0
 
     def test_unknown_nodes(self):
         tr = make_transport()
@@ -105,12 +130,52 @@ class TestDelivery:
         tr.shutdown()
         t.join(5.0)
         assert "exc" in err
+        assert tr._waiters == 0
 
     def test_tensor_payload_length_enforced(self):
+        """A rejected send leaves no trace in the ledger or the queue."""
         tr = make_transport()
         with pytest.raises(ValueError):
             tr.send(Message(W0, S0, Tag.GRAD_PUSH, payload_elements=3,
                             payload=b"\x00" * 8))
+        assert tr.ledger.messages == []
+        assert tr.ledger.node_sent == {} and tr.ledger.node_received == {}
+        assert tr.ledger.total_payload_bytes == 0
+        with pytest.raises(Timeout):
+            tr.recv(S0, timeout=0)
+
+
+class TestPayloadSize:
+    """send() sizes a payload once and hands that size to every counter."""
+
+    @pytest.fixture
+    def size_reads(self, monkeypatch):
+        reads = []
+        size = Message.payload_bytes
+
+        def counted(msg):
+            reads.append(msg)
+            return size.fget(msg)
+        monkeypatch.setattr(Message, "payload_bytes", property(counted))
+        return reads
+
+    @pytest.mark.parametrize("msg, nbytes", [
+        # raw bytes win over payload_elements off the tensor tags
+        (Message(W0, S0, Tag.CONTROL, payload_elements=2, payload=b"x" * 7),
+         7),
+        # a size-only message is 4 bytes per element
+        (counted_message(W0, S0, Tag.CONTROL, 2), 8),
+    ], ids=["raw-bytes", "size-only"])
+    def test_every_counter_sees_one_size(self, msg, nbytes, size_reads):
+        tr = make_transport(bandwidth=8)
+        tr.send(msg)
+        assert size_reads == [msg]
+        (rec,) = tr.ledger.messages
+        assert rec.payload_bytes == nbytes
+        assert tr.ledger.tag_payload_bytes[Tag.CONTROL] == nbytes
+        assert tr.ledger.node_sent[W0] == nbytes + HEADER_BYTES
+        assert tr.ledger.node_received[S0] == nbytes + HEADER_BYTES
+        assert tr.end_phase() == float(nbytes)
 
 
 class TestClock:
@@ -254,3 +319,33 @@ class TestNodeThreads:
 
         with pytest.raises(RuntimeError, match="boom"):
             run_node_threads(tr, {W0: fails, S0: waits})
+
+    def test_no_wakeup_lost_under_contention(self):
+        """More threads than cores, switching every microsecond: a receiver
+        that waits is always woken by the send it waits for. A lost wakeup
+        would leave it waiting out its 10 s timeout, past the 5 s join."""
+        pairs, per = 6, 200
+        senders = [NodeId(Role.PS_WORKER, i) for i in range(pairs)]
+        receivers = [NodeId(Role.PS_SERVER, i) for i in range(pairs)]
+        tr = SimTransport(NetConfig(default_timeout=10.0))
+        tr.register_all(senders + receivers)
+
+        def send(src, dst):
+            for k in range(per):
+                tr.send(counted_message(src, dst, Tag.CONTROL, k + 1))
+
+        def receive(dst):
+            return [tr.recv(dst, tag=Tag.CONTROL).payload_elements
+                    for _ in range(per)]
+
+        tasks = {r: partial(receive, r) for r in receivers}
+        tasks.update({s: partial(send, s, r)
+                      for s, r in zip(senders, receivers)})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = run_node_threads(tr, tasks, join_timeout=5.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(out[r] == list(range(1, per + 1)) for r in receivers)
+        assert tr._waiters == 0
