@@ -4,21 +4,21 @@ allreduce_sum uses recursive doubling: in round i each member exchanges its
 accumulated block sum with the member 2^(i-1) ranks away, so a power-of-two
 group of n needs log2(n) rounds, each moving the full tensor per node.
 
-Groups that are not a power of two run the surplus protocol: the extra
-|surplus| = n - 2^floor(log2 n) members each pre-send their tensor to a
-distinct randomly chosen core donor (one extra round up front), the remaining
-power-of-two core runs recursive doubling, and the donors return the finished
-result to their surplus members (one extra round at the end). Total rounds:
+Groups that are not a power of two run the surplus protocol, the fixed
+non-power-of-two step of Rabenseifner & Träff (EuroPVM/MPI 2004): with
+r = n - 2^floor(log2 n), member 2i+1 sends its tensor to member 2i for
+i < r (one extra round up front), the remaining power-of-two core runs
+recursive doubling, and each donor 2i returns the finished result to member
+2i+1 (one extra round at the end). Total rounds:
 
     r(1) = 0
     r(n) = log2 n                  when n is a power of two
     r(n) = floor(log2 n) + 2       otherwise
 
-Summation order is canonical: surplus contributions fold into their donor in
-ascending member order, and each doubling round adds the lower-rank block
-before the upper-rank block. Every member therefore computes the bit-identical
-aligned binary tree sum for a given surplus selection; changing the selection
-seed permutes the fold and moves the result only at float32 rounding level.
+Summation order is canonical: each surplus contribution folds into its donor
+as donor + surplus, and each doubling round adds the lower-rank block before
+the upper-rank block. Every member therefore computes the bit-identical
+aligned binary tree sum, and the fold is a fixed function of the group.
 
 The schedule is written once, in _rounds: per round, the transfers
 (src, dst, fold) of the surplus, doubling and return rounds. Two executors
@@ -35,16 +35,11 @@ and counted runs alike.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .transport import NodeId, SimTransport, Tag, Timeout, payload_message
-
-
-class NotNeeded(RuntimeError):
-    """Surplus protocol requested for a power-of-two group."""
 
 
 class MemberMissing(Timeout):
@@ -79,46 +74,33 @@ def round_count(n: int) -> int:
     return m if n == (1 << m) else m + 2
 
 
-def surplus_protocol(group: Group, seed: int = 0):
-    """Pick surplus members and their distinct core donors for |group| not a
-    power of two.
+def surplus_protocol(group: Group):
+    """The fixed surplus rule: member 2i+1 folds into member 2i for i < r,
+    where r = |group| - 2^floor(log2 |group|).
 
-    Returns (surplus, core, donors): surplus and core are member tuples (core
-    keeps group order and has power-of-two size), donors maps each surplus
-    member to its core donor. Raises NotNeeded when the group size already is
-    a power of two.
+    Returns (surplus, core, donors): surplus and core are member tuples in
+    group order (core is members 0, 2, ..., 2r-2 followed by 2r, ..., n-1,
+    a power-of-two count), donors maps each surplus member to its core
+    donor. A power-of-two group returns ((), group.members, {}).
     """
-    n = len(group)
-    m = n.bit_length() - 1
-    core_size = 1 << m
-    if core_size == n:
-        raise NotNeeded(f"group of {n} needs no surplus protocol")
-    rng = random.Random(seed)
-    surplus_ranks = sorted(rng.sample(range(n), n - core_size))
-    surplus_set = set(surplus_ranks)
-    core = tuple(node for i, node in enumerate(group.members)
-                 if i not in surplus_set)
-    surplus = tuple(group.members[i] for i in surplus_ranks)
-    donor_picks = rng.sample(range(core_size), len(surplus))
-    donors = {s: core[d] for s, d in zip(surplus, donor_picks)}
-    return surplus, core, donors
+    members = group.members
+    r = len(members) - (1 << (len(members).bit_length() - 1))
+    donors, surplus = members[0:2 * r:2], members[1:2 * r:2]
+    return surplus, donors + members[2 * r:], dict(zip(surplus, donors))
 
 
-def _rounds(group: Group, seed: int):
+def _rounds(group: Group):
     """The allreduce schedule: (round label, transfers) in execution order.
 
     A transfer (src, dst, fold) ships src's current value to dst. With fold
     set, dst adds it to its own value, lower group index first; otherwise
     dst replaces its value with it. Labels are 0 for the surplus round, 1..m
-    for the doubling rounds and m + 1 for the return round; a power-of-two
-    group has only the doubling rounds, a group of one has none.
+    for the doubling rounds over surplus_protocol's core and m + 1 for the
+    return round; a power-of-two group has only the doubling rounds, a group
+    of one has none.
     """
-    n = len(group)
-    m = n.bit_length() - 1
-    if n == (1 << m):
-        core, donors = group.members, {}
-    else:
-        _, core, donors = surplus_protocol(group, seed)
+    _, core, donors = surplus_protocol(group)
+    m = len(core).bit_length() - 1
     rounds = []
     if donors:
         rounds.append((0, [(s, d, True) for s, d in donors.items()]))
@@ -165,7 +147,7 @@ def _result(value):
 
 
 def allreduce_group(transport: SimTransport, group: Group, values: dict, *,
-                    seed: int = 0, op: str = "allreduce") -> dict:
+                    op: str = "allreduce") -> dict:
     """Run the allreduce for every member of the group on the calling thread.
 
     values maps each member to its float32 array, or to its element count
@@ -175,7 +157,7 @@ def allreduce_group(transport: SimTransport, group: Group, values: dict, *,
     array (None on a size-only run), bit-identical to allreduce_sum.
     """
     acc = {member: _value(values[member]) for member in group.members}
-    for rnd, transfers in _rounds(group, seed):
+    for rnd, transfers in _rounds(group):
         for src, dst, _ in transfers:
             transport.send(_transfer(src, dst, acc[src], op, rnd))
         for src, dst, fold in transfers:
@@ -185,9 +167,9 @@ def allreduce_group(transport: SimTransport, group: Group, values: dict, *,
 
 
 def _allreduce_member(transport: SimTransport, group: Group, me: NodeId,
-                      value, seed: int, op: str, timeout: float | None):
+                      value, op: str, timeout: float | None):
     """One member's part of the schedule, for a thread per member."""
-    for rnd, transfers in _rounds(group, seed):
+    for rnd, transfers in _rounds(group):
         for src, dst, _ in transfers:
             if src == me:
                 transport.send(_transfer(me, dst, value, op, rnd))
@@ -199,7 +181,7 @@ def _allreduce_member(transport: SimTransport, group: Group, me: NodeId,
 
 
 def allreduce_sum(transport: SimTransport, group: Group, me: NodeId,
-                  value: np.ndarray, *, seed: int = 0, op: str = "allreduce",
+                  value: np.ndarray, *, op: str = "allreduce",
                   timeout: float | None = None) -> np.ndarray:
     """Sum `value` across the group; every member returns the identical array.
 
@@ -210,11 +192,11 @@ def allreduce_sum(transport: SimTransport, group: Group, me: NodeId,
     """
     return _allreduce_member(transport, group, me,
                              np.ascontiguousarray(value, dtype=np.float32),
-                             seed, op, timeout)
+                             op, timeout)
 
 
 def allreduce_counted(transport: SimTransport, group: Group, me: NodeId,
-                      elements: int, *, seed: int = 0, op: str = "allreduce",
+                      elements: int, *, op: str = "allreduce",
                       timeout: float | None = None) -> None:
     """Size-only allreduce_sum: the same transfers, no payload and no math."""
-    _allreduce_member(transport, group, me, int(elements), seed, op, timeout)
+    _allreduce_member(transport, group, me, int(elements), op, timeout)

@@ -483,8 +483,7 @@ def execute(config: ExperimentConfig):
                                        iterations=iterations, net=net,
                                        conv_time=config.conv_time,
                                        fc_unit_time=config.fc_unit_time,
-                                       boundary=config.boundary,
-                                       seed=config.seed)
+                                       boundary=config.boundary)
     else:
         batch_fn = _batch_source(config, spec, workers)
         if config.mode == "ps":

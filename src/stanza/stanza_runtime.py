@@ -154,20 +154,19 @@ def _boundary_phase(tr: SimTransport, layout: Layout, it: int, grads) -> dict:
                 for c, f in layout.fc_of.items()}
 
 
-def _exchange_phase(tr: SimTransport, layout: Layout, it: int, seed: int,
-                    conv_values, fc_values):
+def _exchange_phase(tr: SimTransport, layout: Layout, conv_values, fc_values):
     """Both groups allreduce their block gradients in one overlapped phase.
 
     The values are each member's packed gradient sum or its element count;
-    returns the two groups' allreduce_group results.
+    returns the two groups' allreduce_group results. Each group's surplus
+    members and donors follow collectives.surplus_protocol's fixed rule, so
+    every iteration moves the same bytes between the same nodes.
     """
-    # one surplus-selection draw per iteration, derived from the run seed
-    ar_seed = seed * 1_000_003 + it
     with tr.phase("exchange"):
         conv_sums = allreduce_group(tr, layout.conv_group, conv_values,
-                                    seed=ar_seed, op="conv_allreduce")
+                                    op="conv_allreduce")
         fc_sums = allreduce_group(tr, layout.fc_group, fc_values,
-                                  seed=ar_seed, op="fc_allreduce")
+                                  op="fc_allreduce")
         return conv_sums, fc_sums
 
 
@@ -325,7 +324,7 @@ class StanzaCluster:
                                       conv_caches[c], boundary_in[c])
                 conv_grads[c] = pack_vector(g)
             conv_sums, fc_sums = _exchange_phase(
-                tr, layout, it, self.seed, conv_grads,
+                tr, layout, conv_grads,
                 {f: pack_vector(g) for f, g in fc_grads.items()})
             self._update_phase(conv_sums, fc_sums)
             losses.append(loss_sum / (self.n_conv * self.spec.batch_k))
@@ -337,7 +336,7 @@ class StanzaCluster:
 def stanza_traffic(spec: ModelSpec, *, n_conv: int, n_fc: int,
                    iterations: int = 1, net: NetConfig | None = None,
                    conv_time: float = 0.0, fc_unit_time: float = 0.0,
-                   boundary: int | None = None, seed: int = 0) -> SimTransport:
+                   boundary: int | None = None) -> SimTransport:
     """Size-only run of the layer-separated schedule for traffic accounting.
 
     Works for profile specs as well as executable ones. Profile runs ship no
@@ -357,7 +356,7 @@ def stanza_traffic(spec: ModelSpec, *, n_conv: int, n_fc: int,
         _activations_phase(tr, layout, it, a_k)
         tr.advance_compute(layout.max_group * fc_unit_time, "fc_compute")
         _boundary_phase(tr, layout, it, a_k)
-        _exchange_phase(tr, layout, it, seed, conv_params, fc_params)
+        _exchange_phase(tr, layout, conv_params, fc_params)
         with tr.phase("update"):
             pass
     return tr

@@ -132,26 +132,17 @@ class Message:
         return self.payload_elements if self.payload is None else self.tensor()
 
 
-def tensor_message(src: NodeId, dst: NodeId, tag: Tag, array: np.ndarray,
-                   **kw) -> Message:
-    a = np.ascontiguousarray(array, dtype=np.float32)
-    return Message(src=src, dst=dst, tag=tag, payload_elements=a.size,
-                   payload=a.tobytes(), shape=a.shape, **kw)
-
-
-def counted_message(src: NodeId, dst: NodeId, tag: Tag, elements: int,
-                    **kw) -> Message:
-    return Message(src=src, dst=dst, tag=tag, payload_elements=int(elements),
-                   **kw)
-
-
-def payload_message(src: NodeId, dst: NodeId, tag: Tag, value,
-                    **kw) -> Message:
+def payload_message(src: NodeId, dst: NodeId, tag: Tag, value, *,
+                    iteration: int | None = None, op: str | None = None,
+                    round: int | None = None) -> Message:
     """A size-only message for an element count, else a float32 tensor
     message for an array."""
     if isinstance(value, (int, np.integer)):
-        return counted_message(src, dst, tag, value, **kw)
-    return tensor_message(src, dst, tag, value, **kw)
+        return Message(src, dst, tag, int(value), None, None, iteration, op,
+                       round)
+    a = np.ascontiguousarray(value, dtype=np.float32)
+    return Message(src, dst, tag, a.size, a.tobytes(), a.shape, iteration, op,
+                   round)
 
 
 @dataclass

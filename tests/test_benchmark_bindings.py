@@ -32,7 +32,7 @@ def test_tracer_patches_every_name(monkeypatch):
 def test_traffic_counters_keep_their_parameter_names():
     assert list(inspect.signature(stanza_runtime.stanza_traffic).parameters) \
         == ["spec", "n_conv", "n_fc", "iterations", "net", "conv_time",
-            "fc_unit_time", "boundary", "seed"]
+            "fc_unit_time", "boundary"]
     assert list(inspect.signature(ps_runtime.ps_traffic).parameters) \
         == ["spec", "n_workers", "n_servers", "iterations", "net",
             "compute_time"]

@@ -18,7 +18,7 @@ from stanza.perf_model import Infeasible
 from stanza.tensor_core import Conv2d, Flatten, MaxPool2d, ReLU
 from stanza.transport import (LedgerInvariant, NetConfig, NodeId, PhaseRecord,
                               Role, SimTransport, Tag, TrafficLedger,
-                              counted_message)
+                              payload_message)
 
 from trainers import max_param_dev, reference_train
 
@@ -458,7 +458,7 @@ class TestLedgerInvariant:
         tr = SimTransport(NetConfig())
         a, b = NodeId(Role.CONV_WORKER, 0), NodeId(Role.FC_WORKER, 0)
         tr.register_all([a, b])
-        tr.send(counted_message(a, b, Tag.ACTIVATIONS, 3))
+        tr.send(payload_message(a, b, Tag.ACTIVATIONS, 3))
         tr.ledger.assert_conserved()
         tr.ledger.node_received[b] -= 1
         with pytest.raises(LedgerInvariant):

@@ -41,7 +41,7 @@ def test_stanza_links_match(model, n_conv, n_fc):
                             momentum=MU, net=NET, seed=4, boundary=boundary)
     numeric = cluster.train(ITERATIONS).transport.ledger
     counted = stanza_traffic(spec, n_conv=n_conv, n_fc=n_fc,
-                             iterations=ITERATIONS, net=NET, seed=4,
+                             iterations=ITERATIONS, net=NET,
                              boundary=boundary).ledger
 
     def key(m):

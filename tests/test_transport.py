@@ -10,8 +10,8 @@ import pytest
 
 from stanza.transport import (HEADER_BYTES, ClusterShutDown, Message,
                               NetConfig, NodeId, Role, SimTransport, Tag,
-                              Timeout, UnknownNode, counted_message,
-                              phase_elapsed, run_node_threads, tensor_message)
+                              Timeout, UnknownNode, payload_message,
+                              phase_elapsed, run_node_threads)
 
 W0 = NodeId(Role.PS_WORKER, 0)
 W1 = NodeId(Role.PS_WORKER, 1)
@@ -29,7 +29,7 @@ class TestDelivery:
         """A 1000-element tensor arrives with identical bytes and shape."""
         tr = make_transport()
         a = rng.standard_normal(1000).astype(np.float32).reshape(10, 100)
-        tr.send(tensor_message(W0, S0, Tag.GRAD_PUSH, a))
+        tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, a))
         msg = tr.recv(S0, tag=Tag.GRAD_PUSH)
         np.testing.assert_array_equal(msg.tensor(), a)
         assert msg.payload_bytes == 4000
@@ -38,15 +38,15 @@ class TestDelivery:
     def test_fifo_per_link(self):
         tr = make_transport()
         for i in range(5):
-            tr.send(counted_message(W0, S0, Tag.CONTROL, i + 1))
+            tr.send(payload_message(W0, S0, Tag.CONTROL, i + 1))
         got = [tr.recv(S0, tag=Tag.CONTROL).payload_elements for _ in range(5)]
         assert got == [1, 2, 3, 4, 5]
 
     def test_tag_filter_skips_without_consuming(self):
         """A queued non-matching message stays put for its own recv."""
         tr = make_transport()
-        tr.send(counted_message(W0, S0, Tag.CONTROL, 7))
-        tr.send(counted_message(W0, S0, Tag.GRAD_PUSH, 9))
+        tr.send(payload_message(W0, S0, Tag.CONTROL, 7))
+        tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, 9))
         grads = tr.recv(S0, tag=Tag.GRAD_PUSH)
         assert grads.payload_elements == 9
         ctl = tr.recv(S0, tag=Tag.CONTROL)
@@ -54,15 +54,15 @@ class TestDelivery:
 
     def test_source_filter(self):
         tr = make_transport()
-        tr.send(counted_message(W1, S0, Tag.GRAD_PUSH, 1))
-        tr.send(counted_message(W0, S0, Tag.GRAD_PUSH, 2))
+        tr.send(payload_message(W1, S0, Tag.GRAD_PUSH, 1))
+        tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, 2))
         assert tr.recv(S0, tag=Tag.GRAD_PUSH, src=W0).payload_elements == 2
         assert tr.recv(S0, tag=Tag.GRAD_PUSH, src=W1).payload_elements == 1
 
     def test_any_source_takes_earliest_enqueued(self):
         tr = make_transport()
-        tr.send(counted_message(W1, S0, Tag.GRAD_PUSH, 11))
-        tr.send(counted_message(W0, S0, Tag.GRAD_PUSH, 22))
+        tr.send(payload_message(W1, S0, Tag.GRAD_PUSH, 11))
+        tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, 22))
         assert tr.recv(S0, tag=Tag.GRAD_PUSH).src == W1
 
     def test_recv_blocks_until_send(self):
@@ -74,7 +74,7 @@ class TestDelivery:
 
         t = threading.Thread(target=receiver)
         t.start()
-        tr.send(counted_message(W0, S0, Tag.CONTROL, 3))
+        tr.send(payload_message(W0, S0, Tag.CONTROL, 3))
         t.join(5.0)
         assert got["msg"].payload_elements == 3
 
@@ -93,7 +93,7 @@ class TestDelivery:
                and time.monotonic() < deadline):
             time.sleep(0.001)
         assert tr._waiters == 1
-        tr.send(counted_message(W0, S0, Tag.CONTROL, 3))
+        tr.send(payload_message(W0, S0, Tag.CONTROL, 3))
         t.join(5.0)
         assert not t.is_alive()
         assert got["msg"].payload_elements == 3
@@ -109,9 +109,9 @@ class TestDelivery:
         tr = make_transport()
         ghost = NodeId(Role.PS_WORKER, 99)
         with pytest.raises(UnknownNode):
-            tr.send(counted_message(ghost, S0, Tag.CONTROL, 1))
+            tr.send(payload_message(ghost, S0, Tag.CONTROL, 1))
         with pytest.raises(UnknownNode):
-            tr.send(counted_message(W0, ghost, Tag.CONTROL, 1))
+            tr.send(payload_message(W0, ghost, Tag.CONTROL, 1))
         with pytest.raises(UnknownNode):
             tr.recv(ghost)
 
@@ -164,7 +164,7 @@ class TestPayloadSize:
         (Message(W0, S0, Tag.CONTROL, payload_elements=2, payload=b"x" * 7),
          7),
         # a size-only message is 4 bytes per element
-        (counted_message(W0, S0, Tag.CONTROL, 2), 8),
+        (payload_message(W0, S0, Tag.CONTROL, 2), 8),
     ], ids=["raw-bytes", "size-only"])
     def test_every_counter_sees_one_size(self, msg, nbytes, size_reads):
         tr = make_transport(bandwidth=8)
@@ -220,7 +220,7 @@ class TestClock:
     def test_phase_bracketing_advances_ledger_clock(self):
         tr = make_transport(bandwidth=8e6)
         tr.begin_phase("push")
-        tr.send(counted_message(W0, S0, Tag.GRAD_PUSH, 250_000))  # 1 MB
+        tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, 250_000))  # 1 MB
         elapsed = tr.end_phase()
         assert elapsed == pytest.approx(1.0)
         assert tr.ledger.logical_clock == pytest.approx(1.0)
@@ -231,7 +231,7 @@ class TestClock:
     def test_header_excluded_from_clock(self):
         tr = make_transport(bandwidth=8e6)
         tr.begin_phase("p")
-        tr.send(counted_message(W0, S0, Tag.GRAD_PUSH, 250_000))
+        tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, 250_000))
         assert tr.end_phase() == pytest.approx(1.0)  # not 1.0 + header time
         assert tr.ledger.node_sent[W0] == 1_000_000 + HEADER_BYTES
 
@@ -239,17 +239,17 @@ class TestClock:
 class TestLedger:
     def test_conservation(self):
         tr = make_transport()
-        tr.send(counted_message(W0, S0, Tag.GRAD_PUSH, 100))
-        tr.send(counted_message(S0, W0, Tag.PARAM_PULL, 100))
-        tr.send(counted_message(W1, S0, Tag.GRAD_PUSH, 50))
+        tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, 100))
+        tr.send(payload_message(S0, W0, Tag.PARAM_PULL, 100))
+        tr.send(payload_message(W1, S0, Tag.GRAD_PUSH, 50))
         tr.ledger.assert_conserved()
         assert tr.ledger.total_sent == tr.ledger.total_received
 
     def test_tag_filtered_payload_bytes(self):
         tr = make_transport()
-        tr.send(counted_message(W0, S0, Tag.ACTIVATIONS, 100))
-        tr.send(counted_message(W0, S0, Tag.CONTROL, 10))
-        tr.send(counted_message(S0, W0, Tag.BOUNDARY_GRADS, 100))
+        tr.send(payload_message(W0, S0, Tag.ACTIVATIONS, 100))
+        tr.send(payload_message(W0, S0, Tag.CONTROL, 10))
+        tr.send(payload_message(S0, W0, Tag.BOUNDARY_GRADS, 100))
         fc_bytes = tr.ledger.bytes_for_tags([Tag.ACTIVATIONS, Tag.BOUNDARY_GRADS])
         assert fc_bytes == 800  # headers and Control excluded
         assert tr.ledger.total_payload_bytes == 840
@@ -258,7 +258,7 @@ class TestLedger:
         tr = make_transport()
         seen = []
         for _ in range(4):
-            tr.send(counted_message(W0, S0, Tag.CONTROL, 5))
+            tr.send(payload_message(W0, S0, Tag.CONTROL, 5))
             seen.append(tr.ledger.total_sent)
         assert seen == sorted(seen)
 
@@ -266,11 +266,11 @@ class TestLedger:
         def run(path):
             tr = make_transport(bandwidth=8e6)
             tr.begin_phase("a")
-            tr.send(counted_message(W0, S0, Tag.GRAD_PUSH, 10))
-            tr.send(counted_message(W1, S0, Tag.GRAD_PUSH, 10))
+            tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, 10))
+            tr.send(payload_message(W1, S0, Tag.GRAD_PUSH, 10))
             tr.end_phase()
             tr.begin_phase("b")
-            tr.send(counted_message(S0, W0, Tag.PARAM_PULL, 10))
+            tr.send(payload_message(S0, W0, Tag.PARAM_PULL, 10))
             tr.end_phase()
             tr.ledger.export_csv(path)
             return path.read_bytes()
@@ -284,7 +284,7 @@ class TestLedger:
     def test_summary_json(self, tmp_path):
         tr = make_transport()
         tr.begin_phase("p")
-        tr.send(counted_message(W0, S0, Tag.GRAD_PUSH, 100))
+        tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, 100))
         tr.end_phase()
         out = tmp_path / "summary.json"
         tr.ledger.export_summary_json(out)
@@ -299,7 +299,7 @@ class TestNodeThreads:
         tr = make_transport()
 
         def ping():
-            tr.send(counted_message(W0, S0, Tag.CONTROL, 1))
+            tr.send(payload_message(W0, S0, Tag.CONTROL, 1))
             return "sent"
 
         def pong():
@@ -332,7 +332,7 @@ class TestNodeThreads:
 
         def send(src, dst):
             for k in range(per):
-                tr.send(counted_message(src, dst, Tag.CONTROL, k + 1))
+                tr.send(payload_message(src, dst, Tag.CONTROL, k + 1))
 
         def receive(dst):
             return [tr.recv(dst, tag=Tag.CONTROL).payload_elements
