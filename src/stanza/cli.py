@@ -16,12 +16,15 @@ without editing anything.
 Exit codes: 0 on success, 2 for configuration errors (unparsable flags or
 any ConfigError), 3 when no feasible node assignment exists, 4 when
 training produced non-finite numbers.
+
+The parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -160,6 +163,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stanza",
@@ -213,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _CONFIG_ERRORS as exc:

@@ -20,8 +20,8 @@ as donor + surplus, and each doubling round adds the lower-rank block before
 the upper-rank block. Every member therefore computes the bit-identical
 aligned binary tree sum, and the fold is a fixed function of the group.
 
-The schedule is written once, in _rounds: per round, the transfers
-(src, dst, fold) of the surplus, doubling and return rounds. Two executors
+The schedule is written once, in _rounds: the transfers
+(src, dst, dst_first) of each surplus, doubling and return round. Two executors
 walk it. allreduce_group runs the whole group on the calling thread: each
 round sends all of its transfers, then delivers them in schedule order. The
 runtimes use it. allreduce_sum (float32 payloads) and allreduce_counted
@@ -57,12 +57,6 @@ class Group:
         if not self.members:
             raise ValueError("empty group")
 
-    def __len__(self):
-        return len(self.members)
-
-    def index(self, node: NodeId) -> int:
-        return self.members.index(node)
-
 
 def round_count(n: int) -> int:
     """Allreduce rounds for a group of n members."""
@@ -92,12 +86,12 @@ def surplus_protocol(group: Group):
 def _rounds(group: Group):
     """The allreduce schedule: (round label, transfers) in execution order.
 
-    A transfer (src, dst, fold) ships src's current value to dst. With fold
-    set, dst adds it to its own value, lower group index first; otherwise
-    dst replaces its value with it. Labels are 0 for the surplus round, 1..m
-    for the doubling rounds over surplus_protocol's core and m + 1 for the
-    return round; a power-of-two group has only the doubling rounds, a group
-    of one has none.
+    A transfer (src, dst, dst_first) ships src's current value to dst, which
+    replaces its own value with it when dst_first is None and otherwise adds
+    it, its own value first when dst_first is True (dst has the lower group
+    index). Labels are 0 for the surplus round, 1..m for the doubling rounds
+    over surplus_protocol's core and m + 1 for the return round; a power-of-two
+    group has only the doubling rounds, a group of one has none.
     """
     _, core, donors = surplus_protocol(group)
     m = len(core).bit_length() - 1
@@ -105,10 +99,11 @@ def _rounds(group: Group):
     if donors:
         rounds.append((0, [(s, d, True) for s, d in donors.items()]))
     for r in range(m):
-        rounds.append((r + 1, [(node, core[rank ^ (1 << r)], True)
+        bit = 1 << r
+        rounds.append((r + 1, [(node, core[rank ^ bit], rank & bit != 0)
                                for rank, node in enumerate(core)]))
     if donors:
-        rounds.append((m + 1, [(d, s, False) for s, d in donors.items()]))
+        rounds.append((m + 1, [(d, s, None) for s, d in donors.items()]))
     return rounds
 
 
@@ -125,8 +120,8 @@ def _transfer(src: NodeId, dst: NodeId, value, op: str, rnd: int):
                            round=rnd)
 
 
-def _deliver(transport: SimTransport, group: Group, dst: NodeId,
-             src: NodeId, value, fold: bool, timeout: float | None):
+def _deliver(transport: SimTransport, dst: NodeId, src: NodeId, value,
+             dst_first: bool | None, timeout: float | None):
     """Receive src's transfer at dst and return dst's new value."""
     try:
         msg = transport.recv(dst, tag=Tag.ALLREDUCE_CHUNK, src=src,
@@ -137,9 +132,9 @@ def _deliver(transport: SimTransport, group: Group, dst: NodeId,
     if isinstance(value, int):
         return value
     got = msg.tensor().reshape(value.shape)
-    if not fold:
+    if dst_first is None:
         return got
-    return value + got if group.index(dst) < group.index(src) else got + value
+    return value + got if dst_first else got + value
 
 
 def _result(value):
@@ -160,8 +155,8 @@ def allreduce_group(transport: SimTransport, group: Group, values: dict, *,
     for rnd, transfers in _rounds(group):
         for src, dst, _ in transfers:
             transport.send(_transfer(src, dst, acc[src], op, rnd))
-        for src, dst, fold in transfers:
-            acc[dst] = _deliver(transport, group, dst, src, acc[dst], fold,
+        for src, dst, dst_first in transfers:
+            acc[dst] = _deliver(transport, dst, src, acc[dst], dst_first,
                                 timeout=0)
     return {member: _result(v) for member, v in acc.items()}
 
@@ -173,9 +168,9 @@ def _allreduce_member(transport: SimTransport, group: Group, me: NodeId,
         for src, dst, _ in transfers:
             if src == me:
                 transport.send(_transfer(me, dst, value, op, rnd))
-        for src, dst, fold in transfers:
+        for src, dst, dst_first in transfers:
             if dst == me:
-                value = _deliver(transport, group, me, src, value, fold,
+                value = _deliver(transport, me, src, value, dst_first,
                                  timeout)
     return _result(value)
 

@@ -17,11 +17,13 @@ receiver waits, so a run on one thread never touches the condition.
 
 Time is logical, not wall-clock. The run driver brackets protocol steps in
 *phases*; when a phase closes, the clock advances by the phase's bottleneck
-transfer time:
+transfer time, from per-node loads summed over the ledger's phase records:
 
     elapsed = max over nodes of max(sent payload bytes, received payload
               bytes) * 8 / bandwidth, plus one per_message_latency if the
               phase moved any message.
+
+A message sent between phases counts toward the next phase to close.
 
 Send and receive directions are metered independently (full duplex). The
 fixed 32-byte per-message header is tracked in the ledger's byte counters
@@ -46,6 +48,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -176,7 +179,7 @@ class TrafficLedger:
     Counters are wire bytes (payload + 32-byte header) and only ever grow.
     Accounting happens at delivery time, so total sent == total received at
     every instant, not just at barriers. Metrics queries (bytes_for_tags)
-    count payload bytes only.
+    count payload bytes only; SimTransport.end_phase reads `messages` too.
     """
 
     def __init__(self):
@@ -277,22 +280,17 @@ def phase_elapsed(transfers: Iterable[tuple[NodeId, NodeId, int]],
 
     Every node serializes its own sends at `bandwidth` and its receives
     likewise; the phase takes as long as the busiest direction of the busiest
-    node.
+    node, whose load is divided once (x * 8 / B rounds monotonically).
     """
     sent: dict[NodeId, int] = {}
     received: dict[NodeId, int] = {}
-    count = 0
     for src, dst, nbytes in transfers:
         sent[src] = sent.get(src, 0) + nbytes
         received[dst] = received.get(dst, 0) + nbytes
-        count += 1
-    if count == 0:
+    if not sent:
         return 0.0
-    worst = 0.0
-    for node in set(sent) | set(received):
-        load = max(sent.get(node, 0), received.get(node, 0))
-        worst = max(worst, load * 8.0 / net.bandwidth)
-    return worst + net.per_message_latency
+    load = max(max(sent.values()), max(received.values()))
+    return load * 8.0 / net.bandwidth + net.per_message_latency
 
 
 class SimTransport:
@@ -308,7 +306,7 @@ class SimTransport:
         self._shutdown = False
         self._phase = "setup"
         self._phase_index = 0
-        self._phase_transfers: list[tuple[NodeId, NodeId, int]] = []
+        self._phase_start = 0   # first ledger record the open phase charges
 
     # -- membership ----------------------------------------------------------
 
@@ -321,10 +319,6 @@ class SimTransport:
     def register_all(self, nodes: Iterable[NodeId]) -> None:
         for n in nodes:
             self.register(n)
-
-    @property
-    def nodes(self) -> list[NodeId]:
-        return sorted(self._queues)
 
     # -- messaging ------------------------------------------------------------
 
@@ -344,7 +338,6 @@ class SimTransport:
             if q is None:
                 raise UnknownNode(f"unregistered destination {msg.dst}")
             self.ledger.observe(msg, self._phase, self._phase_index, nbytes)
-            self._phase_transfers.append((msg.src, msg.dst, nbytes))
             q.append(msg)
             if self._waiters:
                 self._cv.notify_all()
@@ -398,17 +391,21 @@ class SimTransport:
     def begin_phase(self, label: str) -> None:
         with self._lock:
             self._phase = label
-            self._phase_transfers = []
 
     def end_phase(self) -> float:
-        """Close the current phase, advance the clock, return elapsed seconds."""
+        """Close the current phase, advance the clock, return elapsed seconds.
+        The phase holds every ledger record since the last end_phase, so a
+        send outside a bracket is charged here, once."""
         with self._lock:
-            elapsed = phase_elapsed(self._phase_transfers, self.net)
+            records = self.ledger.messages
+            loads = map(attrgetter("src", "dst", "payload_bytes"),
+                        records[self._phase_start:])
+            elapsed = phase_elapsed(loads, self.net)
             self.ledger.logical_clock += elapsed
             self.ledger.phases.append(PhaseRecord(self._phase, elapsed))
             self._phase_index += 1
             self._phase = f"phase{self._phase_index}"
-            self._phase_transfers = []
+            self._phase_start = len(records)
             return elapsed
 
     @contextmanager

@@ -8,8 +8,9 @@ pad through sliding_window_view, where the library casts once into a float64
 pad and refills one patch buffer per call, the MaxPool2d reference gathers every window into one array for
 argmax where the library runs over strided views, the ReLU reference selects
 with np.where where the library masks bits, the tree-sum fold never touches
-the transport, and the planner oracle re-derives assignments by brute force
-from the closed-form times.
+the transport, the phase clock divides each node's load where the library
+divides the largest load once, and the planner oracle re-derives
+assignments by brute force from the closed-form times.
 """
 
 from __future__ import annotations
@@ -201,6 +202,25 @@ def allreduce_reference(group_values: dict, group_order: list, donors: dict):
         else:
             acc[d] = acc[d] + np.asarray(group_values[s], dtype=np.float32)
     return tree_sum([acc[m] for m in core])
+
+
+def phase_elapsed_reference(transfers, net) -> float:
+    """The phase clock as a per-node loop: every node's busier direction
+    divided by the bandwidth, then the max of those times."""
+    sent = {}
+    received = {}
+    count = 0
+    for src, dst, nbytes in transfers:
+        sent[src] = sent.get(src, 0) + nbytes
+        received[dst] = received.get(dst, 0) + nbytes
+        count += 1
+    if count == 0:
+        return 0.0
+    worst = 0.0
+    for node in set(sent) | set(received):
+        load = max(sent.get(node, 0), received.get(node, 0))
+        worst = max(worst, load * 8.0 / net.bandwidth)
+    return worst + net.per_message_latency
 
 
 def _payload_passes(n: int) -> int:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -394,6 +395,85 @@ class TestBenchCommand:
         code, _, err = run_cli(["bench", "--model", "alexnet",
                                 "--reps", "1"], capsys)
         assert code == 2
+
+
+# the README's counted commands, as the counted_sweep benchmark runs them
+COUNTED_SWEEP = [
+    ["compare", "--model", "alexnet", "--seed", "1", "--iterations", "1",
+     "--epoch-samples", "65536", "--workers", "4", "16", "64", "127"],
+    ["compare", "--model", "vgg16", "--seed", "1", "--iterations", "1",
+     "--workers", "4", "16", "64"],
+    ["plan", "--model", "alexnet", "--nodes", "128", "--mode", "stanza"],
+    ["plan", "--model", "alexnet", "--nodes", "128", "--mode", "ps"],
+]
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call sees another's
+    flags."""
+
+    def test_counted_commands_repeat_byte_identically(self, tmp_path,
+                                                      capsys):
+        def one_round():
+            outputs = []
+            for i, argv in enumerate(COUNTED_SWEEP):
+                if argv[0] == "compare":
+                    argv = argv + ["--out", str(tmp_path), "--stem", f"c{i}"]
+                code, out, err = run_cli(argv, capsys)
+                assert (code, err) == (0, "")
+                outputs.append(out)
+            files = {p.name: p.read_bytes()
+                     for p in sorted(tmp_path.iterdir())}
+            for p in tmp_path.iterdir():
+                p.unlink()
+            return outputs, files
+
+        first, files = one_round()
+        assert len(files) == 6
+        assert one_round() == (first, files)
+
+    def test_omitted_flag_reads_as_not_given(self, capsys, monkeypatch):
+        """compare looks cli.compare up at call time, and a --workers given
+        in one call is gone in the next."""
+        sweeps = []
+
+        def fake_compare(ps_cfg, st_cfg, *, worker_counts, out_dir, stem):
+            sweeps.append(worker_counts)
+            return SimpleNamespace(model="alexnet", batch_k=1, iterations=1,
+                                   rows=[])
+
+        monkeypatch.setattr(cli, "compare", fake_compare)
+        args = ["compare", "--model", "alexnet", "--seed", "1",
+                "--iterations", "1"]
+        assert run_cli(args + ["--workers", "4", "16"], capsys)[0] == 0
+        assert run_cli(args, capsys)[0] == 0
+        assert sweeps == [[4, 16], None]
+        assert build_parser().parse_args(args).workers is None
+
+    def test_bad_flag_still_exits_2(self, capsys):
+        assert run_cli(PLAN, capsys)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(PLAN + ["--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        code, out, _ = run_cli(PLAN, capsys)
+        assert code == 0 and "CONV" in out
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        """After the first main() call, later calls build no parser."""
+        assert run_cli(PLAN, capsys)[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        for argv in (PLAN, COUNTED_SWEEP[2], ["bench", "--model", "x"]):
+            run_cli(argv, capsys)
+        assert built == []
 
 
 class TestEntryPoint:

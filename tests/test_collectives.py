@@ -5,9 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from stanza.collectives import (Group, MemberMissing, allreduce_counted,
-                                allreduce_group, allreduce_sum, round_count,
-                                surplus_protocol)
+from stanza.collectives import (Group, MemberMissing, _rounds,
+                                allreduce_counted, allreduce_group,
+                                allreduce_sum, round_count, surplus_protocol)
 from stanza.model_partition import builtin_model, tiny_cnn
 from stanza.stanza_runtime import StanzaCluster, stanza_traffic
 from stanza.transport import (NetConfig, NodeId, Role, SimTransport,
@@ -80,8 +80,25 @@ class TestSurplusProtocol:
     def test_core_preserves_group_order(self):
         group = Group(conv_nodes(11))
         _, core, _ = surplus_protocol(group)
-        ranks = [group.index(c) for c in core]
+        ranks = [group.members.index(c) for c in core]
         assert ranks == sorted(ranks)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 8, 13, 33, 127])
+    def test_schedule_carries_the_fold_order(self, n):
+        """Each folding transfer says whether dst's own value goes first,
+        and it does exactly when dst has the lower group index; only the
+        return round replaces instead of folding."""
+        group = Group(conv_nodes(n))
+        rank = {m: i for i, m in enumerate(group.members)}
+        rounds = _rounds(group)
+        assert len(rounds) == round_count(n)
+        for label, transfers in rounds:
+            for src, dst, dst_first in transfers:
+                if dst_first is None:
+                    assert label == len(rounds) - 1
+                    assert rank[dst] == rank[src] + 1
+                else:
+                    assert dst_first == (rank[dst] < rank[src])
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7, 13, 33, 127])
     def test_member_2i_plus_1_folds_into_2i(self, n):
@@ -147,7 +164,7 @@ class TestAllreduce:
                 return allreduce_sum(tr, group, m, values[m])
             return run
 
-        tasks = {m: task(m, 0.05 * (len(group) - i))
+        tasks = {m: task(m, 0.05 * (len(group.members) - i))
                  for i, m in enumerate(group.members)}
         results = run_node_threads(tr, tasks)
         np.testing.assert_array_equal(results[group.members[0]],

@@ -7,15 +7,20 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stanza.transport import (HEADER_BYTES, ClusterShutDown, Message,
                               NetConfig, NodeId, Role, SimTransport, Tag,
                               Timeout, UnknownNode, payload_message,
                               phase_elapsed, run_node_threads)
 
+from oracles import phase_elapsed_reference
+
 W0 = NodeId(Role.PS_WORKER, 0)
 W1 = NodeId(Role.PS_WORKER, 1)
 S0 = NodeId(Role.PS_SERVER, 0)
+NODES = (W0, W1, S0, NodeId(Role.PS_SERVER, 1))
 
 
 def make_transport(**net_kw):
@@ -58,6 +63,30 @@ class TestDelivery:
         tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, 2))
         assert tr.recv(S0, tag=Tag.GRAD_PUSH, src=W0).payload_elements == 2
         assert tr.recv(S0, tag=Tag.GRAD_PUSH, src=W1).payload_elements == 1
+
+    def test_nonmatching_head_is_skipped_not_consumed(self):
+        """A filter the head fails takes a later message and leaves the head
+        first in line."""
+        tr = make_transport()
+        tr.send(payload_message(W0, S0, Tag.CONTROL, 7))
+        tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, 9))
+        tr.send(payload_message(W1, S0, Tag.GRAD_PUSH, 5))
+        assert tr.recv(S0, tag=Tag.GRAD_PUSH, src=W1).payload_elements == 5
+        assert tr.recv(S0, src=W0).payload_elements == 7
+        assert tr.recv(S0).payload_elements == 9
+        with pytest.raises(Timeout):
+            tr.recv(S0, timeout=0)
+
+    def test_filtered_receives_keep_per_link_fifo(self):
+        """Receives that alternate between matching the queue head and
+        scanning past it still see each link's messages in send order."""
+        tr = make_transport()
+        for k in (1, 2, 3):
+            tr.send(payload_message(W0, S0, Tag.GRAD_PUSH, 10 + k))
+            tr.send(payload_message(W1, S0, Tag.GRAD_PUSH, 20 + k))
+        got = [tr.recv(S0, tag=Tag.GRAD_PUSH, src=src).payload_elements
+               for src in (W1, W0, W0, None, W1, W0)]
+        assert got == [21, 11, 12, 22, 23, 13]
 
     def test_any_source_takes_earliest_enqueued(self):
         tr = make_transport()
@@ -206,6 +235,64 @@ class TestClock:
         assert phase_elapsed([], net) == 0.0
         assert phase_elapsed([(W0, S0, 1_000_000), (W1, S0, 1_000_000)], net) \
             == pytest.approx(2.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(transfers=st.lists(st.tuples(st.sampled_from(NODES),
+                                        st.sampled_from(NODES),
+                                        st.integers(0, 2 ** 62)),
+                              max_size=12),
+           bandwidth=st.floats(1e-300, 1e300),
+           latency=st.floats(0.0, 1e3))
+    def test_one_max_equals_the_per_node_loop(self, transfers, bandwidth,
+                                              latency):
+        """Dividing the largest load once gives the per-node loop's clock
+        bit for bit, empty phase included."""
+        net = NetConfig(bandwidth=bandwidth, per_message_latency=latency)
+        assert (phase_elapsed(transfers, net)
+                == phase_elapsed_reference(transfers, net))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.tuples(st.sampled_from(NODES),
+                                    st.sampled_from(NODES),
+                                    st.integers(0, 2 ** 40)),
+                          max_size=12),
+           bandwidth=st.floats(1.0, 1e12))
+    def test_end_phase_charges_the_ledger_records(self, sizes, bandwidth):
+        tr = SimTransport(NetConfig(bandwidth=bandwidth))
+        tr.register_all(NODES)
+        tr.begin_phase("p")
+        for src, dst, elements in sizes:
+            tr.send(payload_message(src, dst, Tag.CONTROL, elements))
+        transfers = [(src, dst, 4 * e) for src, dst, e in sizes]
+        assert tr.end_phase() == phase_elapsed_reference(transfers, tr.net)
+
+    def test_unbracketed_sends_charged_at_next_end_phase(self):
+        """A send before the first begin_phase, or after an end_phase, is
+        charged by the next end_phase, once."""
+        tr = make_transport(bandwidth=8)
+        tr.send(payload_message(W0, S0, Tag.CONTROL, 2))
+        assert tr.end_phase() == 8.0
+        tr.send(payload_message(W0, S0, Tag.CONTROL, 3))
+        tr.send(payload_message(W1, S0, Tag.CONTROL, 1))
+        assert tr.end_phase() == 16.0
+        assert tr.end_phase() == 0.0
+        assert [(p.label, p.elapsed) for p in tr.ledger.phases] == [
+            ("setup", 8.0), ("phase1", 16.0), ("phase2", 0.0)]
+
+    def test_send_before_begin_phase_is_charged(self):
+        """A send after an end_phase and before the next begin_phase is
+        charged with the phase that begin_phase opens: S0 receives 20 + 4
+        bytes there, 24 s at 8 b/s, and the send's ledger row carries that
+        phase's index."""
+        tr = make_transport(bandwidth=8)
+        tr.end_phase()
+        tr.send(payload_message(W0, S0, Tag.CONTROL, 5))
+        tr.begin_phase("bracketed")
+        tr.send(payload_message(W1, S0, Tag.CONTROL, 1))
+        assert tr.end_phase() == 24.0
+        assert tr.ledger.logical_clock == 24.0
+        assert [(r.phase, r.phase_index) for r in tr.ledger.messages] == [
+            ("phase1", 1), ("bracketed", 1)]
 
     def test_ps_push_pull_totals_alexnet(self):
         """4 workers x 61.1M params x 4 B each way through 1 server at 10 Gb/s
