@@ -2,8 +2,9 @@
 
 Uses accelerator-class compute constants (heavy CONV step, light FC step)
 to pick the best CONV/FC split for each node budget, then compares the
-modeled iteration time of the layer-separated protocol against a parameter
-server given the same number of machines.
+modeled iteration time of the layer-separated protocol against a one-server
+parameter server whose other machines are all workers (perf_model.speedup).
+The planner's best PS splits for a few budgets follow.
 """
 
 import dataclasses

@@ -6,7 +6,7 @@ Submodules:
     transport        simulated in-process network with a traffic ledger
     collectives      recursive-doubling allreduce with surplus folding
     checkpointing    training-state snapshots and digests
-    ps_runtime       parameter-server protocol (sharded servers, BSP)
+    ps_runtime       parameter-server protocol (contiguous-range shards, BSP)
     stanza_runtime   layer-separated protocol (CONV/FC worker groups)
     perf_model       closed-form iteration-time models and node planner
     harness          experiment configs, synthetic data, run/compare drivers

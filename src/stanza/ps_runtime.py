@@ -1,36 +1,34 @@
 """Parameter-server training over the simulated network.
 
-Every worker holds a full model replica. Each iteration the workers
-compute gradient sums over their local batches, push them tensor by
-tensor to the owning servers, the servers aggregate in ascending worker
-order and apply one momentum-SGD step, and the workers pull the updated
-tensors back. All phases are bulk synchronous, so the ledger clock
-charges each phase at its slowest node.
+Every worker holds a full model replica. The servers shard the flat
+parameter vector, all tensors laid end to end in layer order, into
+equal_split(P, n_servers) contiguous element ranges, as key-range
+partitioning does. Each iteration the workers compute gradient sums over
+their local batches and push each server its range of the packed gradient;
+the servers aggregate in ascending worker order and apply one momentum-SGD
+step to their range, and the workers pull the updated ranges back. All
+phases are bulk synchronous, so the ledger clock charges each phase at its
+slowest node.
 
-Push and pull are written once, over numbered items that each have an
-owning server and a value, a float32 array or an element count
-(transport.payload_message). PsCluster passes one array per tensor;
-ps_traffic passes one count per server that owns anything, its whole shard.
-Senders' messages go first, then receivers' in node order, on the calling
-thread.
+Push and pull are written once, over the live servers, those whose range is
+not empty, and one value per (worker, live server): a float32 array or an
+element count (transport.payload_message). PsCluster passes the ranges
+themselves; ps_traffic passes their lengths. Remainders go to the first
+servers, so the live servers are a prefix and a server past the last
+element gets no message. Senders' messages go first, then receivers' in
+node order, on the calling thread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .checkpointing import TrainResult, TrainState, start_state
 from .model_partition import ConfigError, ModelSpec
 from .tensor_core import (OptimizerState, block_backward, block_forward,
-                          flatten_params, param_shapes, sgd_step)
+                          pack_vector, param_count, sgd_step, unpack_vector)
 from .transport import (NetConfig, NodeId, Role, SimTransport, Tag,
                         payload_message)
-
-
-class PushOutOfOrder(RuntimeError):
-    """A server received a worker's gradient pushes out of sending order."""
 
 
 def check_ps_shape(n_workers: int, n_servers: int) -> None:
@@ -48,79 +46,32 @@ def equal_split(total: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-@dataclass(frozen=True)
-class ShardMap:
-    """Assignment of numbered items to servers: flat tensor ids, or whole
-    shards in a size-only run."""
-    n_servers: int
-    owner: tuple[int, ...]
-
-    @classmethod
-    def balance(cls, sizes, n_servers: int) -> "ShardMap":
-        """Greedy whole-tensor balancing: largest tensors first, each to the
-        currently lightest server. Deterministic for a given size list."""
-        load = [0] * n_servers
-        owner = [0] * len(sizes)
-        for tid in sorted(range(len(sizes)), key=lambda t: (-sizes[t], t)):
-            s = min(range(n_servers), key=lambda i: (load[i], i))
-            owner[tid] = s
-            load[s] += sizes[tid]
-        return cls(n_servers=n_servers, owner=tuple(owner))
-
-    def tensors_of(self, server: int) -> list[int]:
-        return [tid for tid, s in enumerate(self.owner) if s == server]
-
-    def shard_elements(self, sizes) -> list[int]:
-        elems = [0] * self.n_servers
-        for tid, s in enumerate(self.owner):
-            elems[s] += sizes[tid]
-        return elems
-
-
-def _push_phase(tr: SimTransport, workers, servers, items: ShardMap,
-                it: int, values) -> dict:
-    """Every worker pushes its value of each item to the item's server.
-
-    values[w][item] is worker w's value, an array or an element count. The
-    item number rides along as the message round. Returns {(worker index,
-    item): value} as the servers received them.
-    """
-    owned = [items.tensors_of(s) for s in range(len(servers))]
+def _push_phase(tr: SimTransport, workers, servers, it: int,
+                values) -> list:
+    """Every worker pushes servers[i] its value values[w][i], an array or an
+    element count; the server index rides along as the message round.
+    Returns, per server, the received values in worker order."""
     with tr.phase("push"):
         for w in workers:
-            for item, value in enumerate(values[w]):
-                tr.send(payload_message(w, servers[items.owner[item]],
-                                        Tag.GRAD_PUSH, value, iteration=it,
-                                        op="push", round=item))
-        pushes = {}
-        for s, mine in zip(servers, owned):
-            for w_idx, w in enumerate(workers):
-                for item in mine:
-                    msg = tr.recv(s, tag=Tag.GRAD_PUSH, src=w, timeout=0)
-                    if msg.round != item:
-                        raise PushOutOfOrder(f"{s} expected item {item} from "
-                                             f"{w}, got {msg.round}")
-                    pushes[(w_idx, item)] = msg.value()
-        return pushes
+            for i, s in enumerate(servers):
+                tr.send(payload_message(w, s, Tag.GRAD_PUSH, values[w][i],
+                                        iteration=it, op="push", round=i))
+        return [[tr.recv(s, tag=Tag.GRAD_PUSH, src=w, timeout=0).value()
+                 for w in workers] for s in servers]
 
 
-def _pull_phase(tr: SimTransport, workers, servers, items: ShardMap,
-                it: int, values) -> dict:
-    """Every server sends each worker its value of each item it owns.
-
-    values[item] is the owning server's value, an array or an element count.
-    Returns, per worker, the received values in item order.
-    """
-    owned = [items.tensors_of(s) for s in range(len(servers))]
+def _pull_phase(tr: SimTransport, workers, servers, it: int,
+                values) -> dict:
+    """servers[i] sends every worker its value values[i], an array or an
+    element count. Returns, per worker, the received values in server
+    order."""
     with tr.phase("pull"):
-        for s, mine in zip(servers, owned):
+        for i, s in enumerate(servers):
             for w in workers:
-                for item in mine:
-                    tr.send(payload_message(s, w, Tag.PARAM_PULL,
-                                            values[item], iteration=it,
-                                            op="pull", round=item))
-        return {w: [tr.recv(w, tag=Tag.PARAM_PULL, src=servers[s_idx],
-                            timeout=0).value() for s_idx in items.owner]
+                tr.send(payload_message(s, w, Tag.PARAM_PULL, values[i],
+                                        iteration=it, op="pull", round=i))
+        return {w: [tr.recv(w, tag=Tag.PARAM_PULL, src=s, timeout=0).value()
+                    for s in servers]
                 for w in workers}
 
 
@@ -147,9 +98,6 @@ class PsCluster:
 
         start = start_state(self.layers, seed, state)
         self.iteration = start.iteration
-        flat0 = flatten_params(start.params)
-        flat_vel0 = flatten_params(start.velocities)
-        self.shard_map = ShardMap.balance([t.size for t in flat0], n_servers)
 
         self.transport = SimTransport(net)
         self.worker_ids = [NodeId(Role.PS_WORKER, i) for i in range(n_workers)]
@@ -160,36 +108,34 @@ class PsCluster:
             w: [[t.copy() for t in layer] for layer in start.params]
             for w in self.worker_ids
         }
-        # the servers' tensors by flat tensor id; each server steps the ones
-        # it owns as one-tensor slots, the nested structure sgd_step expects
-        self._server_params = [t.copy() for t in flat0]
-        self._server_vel = [t.copy() for t in flat_vel0]
-        self._owned = [self.shard_map.tensors_of(s) for s in range(n_servers)]
-        self._shard_opt = [
-            OptimizerState(lr=lr, momentum=momentum,
-                           velocity=[[self._server_vel[tid]] for tid in owned])
-            for owned in self._owned
-        ]
+        # the servers' flat parameter and velocity vectors; sgd_step sees
+        # each live server's range as a layer of one tensor
+        self._params = pack_vector(start.params)
+        self._vel = pack_vector(start.velocities)
+        bounds = list(accumulate(equal_split(self._params.size, n_servers),
+                                 initial=0))
+        self._ranges = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])
+                        if hi > lo]
+        self._live = self.server_ids[:len(self._ranges)]
+        self._opt = OptimizerState(lr=lr, momentum=momentum,
+                                   velocity=[[self._vel[r]]
+                                             for r in self._ranges])
 
     # -- state ------------------------------------------------------------
 
-    def _rebuild(self, flat) -> list:
-        """Copies of flat tensors, nested layer by layer like the model."""
-        tensors = iter(flat)
-        return [[next(tensors).copy() for _ in param_shapes(layer)]
-                for layer in self.layers]
-
     def state(self) -> TrainState:
-        """Authoritative training state, reassembled from the server shards."""
+        """Authoritative training state, reassembled from the server ranges."""
+        like = self.worker_params[self.worker_ids[0]]
         return TrainState(iteration=self.iteration,
-                          params=self._rebuild(self._server_params),
-                          velocities=self._rebuild(self._server_vel))
+                          params=unpack_vector(self._params.copy(), like),
+                          velocities=unpack_vector(self._vel.copy(), like))
 
     # -- one iteration ------------------------------------------------------
 
     def _local_gradients(self, it: int):
-        """Forward/backward on every worker replica. Returns per-worker flat
-        gradient lists and the summed per-sample loss."""
+        """Forward/backward on every worker replica. Returns each worker's
+        packed gradient split into the server ranges, and the summed
+        per-sample loss."""
         grads = {}
         loss_sum = 0.0
         for w_idx, w in enumerate(self.worker_ids):
@@ -198,22 +144,21 @@ class PsCluster:
             params = self.worker_params[w]
             out, caches = block_forward(self.layers, params, x, labels=y)
             _, g = block_backward(self.layers, params, caches, None)
-            grads[w] = flatten_params(g)
+            flat = pack_vector(g)
+            grads[w] = [flat[r] for r in self._ranges]
             loss_sum += float(out.sum())
         return grads, loss_sum
 
     def _update_phase(self, pushes) -> None:
-        n = self.n_workers * self.spec.batch_k
         with self.transport.phase("update"):
-            for owned, opt in zip(self._owned, self._shard_opt):
-                grads_nested = []
-                for tid in owned:
-                    acc = pushes[(0, tid)].copy()
-                    for w_idx in range(1, self.n_workers):
-                        acc += pushes[(w_idx, tid)]
-                    grads_nested.append([acc])
-                sgd_step([[self._server_params[tid]] for tid in owned],
-                         grads_nested, n, opt)
+            sums = []
+            for received in pushes:
+                acc = received[0].copy()
+                for g in received[1:]:
+                    acc += g
+                sums.append([acc])
+            sgd_step([[self._params[r]] for r in self._ranges], sums,
+                     self.n_workers * self.spec.batch_k, self._opt)
 
     def train(self, iterations: int) -> TrainResult:
         """Run `iterations` more iterations; may be called repeatedly."""
@@ -223,13 +168,13 @@ class PsCluster:
             it = self.iteration
             tr.advance_compute(self.compute_time, "compute")
             grads, loss_sum = self._local_gradients(it)
-            pushes = _push_phase(tr, self.worker_ids, self.server_ids,
-                                 self.shard_map, it, grads)
+            pushes = _push_phase(tr, self.worker_ids, self._live, it, grads)
             self._update_phase(pushes)
-            pulled = _pull_phase(tr, self.worker_ids, self.server_ids,
-                                 self.shard_map, it, self._server_params)
-            for w, flat in pulled.items():
-                self.worker_params[w] = self._rebuild(flat)
+            pulled = _pull_phase(tr, self.worker_ids, self._live, it,
+                                 [self._params[r] for r in self._ranges])
+            for w, ranges in pulled.items():
+                self.worker_params[w] = unpack_vector(pack_vector([ranges]),
+                                                      self.worker_params[w])
             losses.append(loss_sum / (self.n_workers * self.spec.batch_k))
             self.iteration += 1
         return TrainResult(losses=losses, state=self.state(),
@@ -241,33 +186,24 @@ def ps_traffic(spec: ModelSpec, *, n_workers: int, n_servers: int,
                compute_time: float = 0.0) -> SimTransport:
     """Size-only run of the push/update/pull schedule for traffic accounting.
 
-    Works for profile specs (no layers) as well as executable ones; each
-    worker-server pair exchanges one message per direction carrying that
-    server's whole shard.
+    Works for profile specs (no layers) as well as executable ones, with the
+    same contiguous ranges PsCluster uses: each worker and live server
+    exchange one message per direction carrying that server's range.
     """
     check_ps_shape(n_workers, n_servers)
-    if spec.is_profile:
-        shard_elems = equal_split(spec.params_total, n_servers)
-    else:
-        sizes = []
-        for layer in spec.layers:
-            for shape in param_shapes(layer):
-                sizes.append(int(np.prod(shape)))
-        shard_elems = ShardMap.balance(sizes, n_servers).shard_elements(sizes)
+    total = (spec.params_total if spec.is_profile
+             else sum(param_count(layer) for layer in spec.layers))
+    shards = [n for n in equal_split(total, n_servers) if n]
 
     tr = SimTransport(net)
     workers = [NodeId(Role.PS_WORKER, i) for i in range(n_workers)]
     servers = [NodeId(Role.PS_SERVER, i) for i in range(n_servers)]
     tr.register_all(workers + servers)
-    # one item per server that owns anything: its whole shard
-    live = [s for s, elems in enumerate(shard_elems) if elems > 0]
-    items = ShardMap(n_servers=n_servers, owner=tuple(live))
-    shards = [shard_elems[s] for s in live]
+    live = servers[:len(shards)]
     for it in range(iterations):
         tr.advance_compute(compute_time, "compute")
-        _push_phase(tr, workers, servers, items, it,
-                    dict.fromkeys(workers, shards))
+        _push_phase(tr, workers, live, it, dict.fromkeys(workers, shards))
         with tr.phase("update"):
             pass
-        _pull_phase(tr, workers, servers, items, it, shards)
+        _pull_phase(tr, workers, live, it, shards)
     return tr

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import best_ps_split_reference, best_split_reference, rel_err
 from stanza.model_partition import (ConfigError, builtin_model, profile_spec,
-                                    split, tiny_cnn)
+                                    split, tiny_cnn, tiny_mlp)
 from stanza.perf_model import (Infeasible, PerfConstants, assign_nodes,
                                assign_ps, format_constants_text,
                                load_constants_file,
@@ -17,8 +17,9 @@ from stanza.perf_model import (Infeasible, PerfConstants, assign_nodes,
                                window)
 from stanza.ps_runtime import PsCluster, ps_traffic
 from stanza.stanza_runtime import StanzaCluster, stanza_traffic
+from stanza.tensor_core import param_count
 from stanza.transport import NetConfig
-from trainers import comm_bound_constants
+from trainers import comm_bound_constants, make_batch_fn
 
 ALEX = split(builtin_model("alexnet"))
 ALEX_PARAMS = ALEX.conv_params + ALEX.fc_params
@@ -170,22 +171,39 @@ class TestModelMatchesSimulation:
                 assert rel_err(sim, model) <= 1e-9, (spec.name, n_conv, n_fc)
 
     def test_push_pull_clock(self):
+        """Counted runs of profile and executable specs, and numeric runs of
+        the executable ones; those also run with more servers (9, 16) than
+        they have tensors (8)."""
         rng = np.random.default_rng(23)
-        for spec in (builtin_model("alexnet"), self.ODD):
-            for _ in range(4):
-                n_workers = int(rng.integers(1, 9))
-                n_servers = int(rng.integers(1, 9))
+        for spec in (builtin_model("alexnet"), self.ODD, tiny_cnn(),
+                     tiny_mlp()):
+            shapes = [(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+                      for _ in range(4)]
+            if not spec.is_profile:
+                shapes += [(4, 2), (4, 9), (3, 16)]
+            total = (spec.params_total if spec.is_profile
+                     else sum(param_count(layer) for layer in spec.layers))
+            for n_workers, n_servers in shapes:
                 c = PerfConstants(
-                    bandwidth=float(rng.choice([1e9, 10e9])),
+                    bandwidth=float(rng.choice([1e6, 1e9, 10e9])),
                     ps_compute_time=float(rng.choice([0.0, 0.007])))
-                tr = ps_traffic(spec, n_workers=n_workers, n_servers=n_servers,
-                                iterations=2,
-                                net=NetConfig(bandwidth=c.bandwidth),
-                                compute_time=c.ps_compute_time)
-                sim = tr.ledger.logical_clock / 2
-                model = ps_iter_time(spec.params_total, n_workers, n_servers, c)
-                assert rel_err(sim, model) <= 1e-9, (spec.name, n_workers,
-                                                     n_servers)
+                model = ps_iter_time(total, n_workers, n_servers, c)
+                for tr in self._ps_transports(spec, n_workers, n_servers, c):
+                    sim = tr.ledger.logical_clock / 2
+                    assert rel_err(sim, model) <= 1e-9, (
+                        spec.name, n_workers, n_servers)
+
+    @staticmethod
+    def _ps_transports(spec, n_workers, n_servers, c):
+        """Two iterations of every PS run of one shape: counted, and numeric
+        for an executable spec."""
+        kw = dict(n_workers=n_workers, n_servers=n_servers,
+                  net=NetConfig(bandwidth=c.bandwidth),
+                  compute_time=c.ps_compute_time)
+        yield ps_traffic(spec, iterations=2, **kw)
+        if not spec.is_profile:
+            yield PsCluster(spec, batch_fn=make_batch_fn(spec, 1), lr=0.01,
+                            **kw).train(2).transport
 
 
 CONSTANT_SETS = [
@@ -313,6 +331,41 @@ class TestSpeedup:
     def test_needs_a_worker(self):
         with pytest.raises(Infeasible):
             speedup(ALEX, 1, v100_class_constants())
+
+
+# model, nodes, speedup over a one-server PS, and the throughput ratio of
+# the planner's best layer-separated split over its best PS split, under
+# v100_class_constants
+PS_BASELINES = [
+    ("alexnet", 4, 3.4004, 2.61227),
+    ("alexnet", 16, 10.6732, 2.60988),
+    ("alexnet", 128, 31.8831, 1.48556),
+    ("vgg16", 4, 5.53128, 3.53625),
+    ("vgg16", 16, 17.4127, 3.13216),
+    ("vgg16", 128, 51.5074, 1.68606),
+    ("vgg19", 4, 5.38597, 3.41936),
+    ("vgg19", 16, 16.6252, 2.9578),
+    ("vgg19", 128, 50.7239, 1.67204),
+    ("inception_v3", 4, 1.59922, 1.52233),
+    ("inception_v3", 16, 3.93085, 1.3971),
+    ("inception_v3", 128, 19.1908, 1.07559),
+    ("resnet152", 4, 1.96645, 1.51647),
+    ("resnet152", 16, 5.19309, 1.27856),
+    ("resnet152", 128, 25.8038, 0.888497),
+]
+
+
+@pytest.mark.parametrize("model,nodes,one_server,best_split", PS_BASELINES)
+def test_ratio_names_its_ps_baseline(model, nodes, one_server, best_split):
+    """README's baseline table: the ratio over a one-server PS, and the far
+    smaller one over the planner's best PS split."""
+    c = v100_class_constants()
+    part = split(builtin_model(model))
+    total = part.conv_params + part.fc_params
+    best_ps = assign_ps(total, part.spec.batch_k, nodes, c)
+    assert rel_err(speedup(part, nodes, c), one_server) <= 1e-5
+    assert rel_err(assign_nodes(part, nodes, c).throughput
+                   / best_ps.throughput, best_split) <= 1e-5
 
 
 class TestCommBoundScaling:

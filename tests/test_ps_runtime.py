@@ -5,11 +5,12 @@ import pytest
 
 from stanza import ps_runtime
 from stanza.checkpointing import param_digest, state_from_bytes, state_to_bytes
-from stanza.model_partition import ConfigError, tiny_cnn
-from stanza.ps_runtime import (PsCluster, PushOutOfOrder, ShardMap, equal_split,
-                               ps_traffic)
-from stanza.tensor_core import ShapeMismatch
-from stanza.transport import (HEADER_BYTES, ClusterShutDown, NetConfig, Tag)
+from stanza.model_partition import ConfigError, executable_spec, tiny_cnn
+from stanza.ps_runtime import PsCluster, equal_split, ps_traffic
+from stanza.tensor_core import (FullyConnected, ShapeMismatch,
+                                SoftmaxCrossEntropy)
+from stanza.transport import (HEADER_BYTES, ClusterShutDown, NetConfig, Role,
+                              Tag)
 
 from trainers import (LR, MU, make_batch_fn, max_param_dev, reference_train)
 
@@ -29,28 +30,63 @@ class TestEqualSplit:
             equal_split(10, 0)
 
 
-class TestShardMap:
-    def test_partition_covers_all_tensors_once(self):
-        sizes = [100, 5, 40, 40, 1, 900]
-        sm = ShardMap.balance(sizes, 3)
-        seen = sorted(tid for s in range(3) for tid in sm.tensors_of(s))
-        assert seen == list(range(len(sizes)))
+class TestRanges:
+    """Every PS run splits the flat parameter vector into contiguous element
+    ranges, one per server; each worker-server pair moves one range per
+    direction."""
 
-    def test_greedy_balance_hand_case(self):
-        # descending sizes 900,100,40,40,5,1 onto two servers:
-        # 900 -> s0; 100 -> s1; 40 -> s1; 40 -> s1; 5 -> s1; 1 -> s1
-        sm = ShardMap.balance([100, 5, 40, 40, 1, 900], 2)
-        assert sm.owner == (1, 1, 1, 1, 1, 0)
-        assert sm.shard_elements([100, 5, 40, 40, 1, 900]) == [900, 186]
+    # 20 parameters: with 24 servers, the last 4 have empty ranges
+    WEE = executable_spec("wee", [FullyConnected(1, 10), SoftmaxCrossEntropy()],
+                          input_shape=(1,), batch_k=2)
 
-    def test_single_server_owns_everything(self):
-        sm = ShardMap.balance([3, 7, 2], 1)
-        assert sm.tensors_of(0) == [0, 1, 2]
+    def _runs(self, spec, n_workers, n_servers, net=None):
+        counted = ps_traffic(spec, n_workers=n_workers, n_servers=n_servers,
+                             iterations=2, net=net)
+        cluster = PsCluster(spec, n_workers=n_workers, n_servers=n_servers,
+                            batch_fn=make_batch_fn(spec, 6), lr=LR,
+                            momentum=MU, seed=2, net=net)
+        return counted, cluster.train(2)
 
-    def test_more_servers_than_tensors(self):
-        sm = ShardMap.balance([10, 20], 4)
-        assert sorted(sm.owner) == [0, 1]
-        assert sm.shard_elements([10, 20]).count(0) == 2
+    def test_clock_follows_equal_ranges(self):
+        # tiny_cnn's 35578 parameters, 4 workers at 1 Mb/s: the busiest
+        # server link carries four ranges until one worker's full set, on
+        # its own link, outweighs them
+        spec = tiny_cnn()
+        for n_servers, seconds in [(1, 9.107968), (2, 4.553984),
+                                   (3, 3.03616), (9, 2.276992),
+                                   (16, 2.276992)]:
+            counted, numeric = self._runs(spec, 4, n_servers,
+                                          NetConfig(bandwidth=1e6))
+            for tr in (counted, numeric.transport):
+                assert tr.ledger.logical_clock == \
+                    pytest.approx(2 * seconds, rel=1e-12), n_servers
+
+    @pytest.mark.parametrize("n_workers,n_servers", [(3, 2), (2, 5), (4, 24)])
+    def test_numeric_ledger_is_the_counted_one(self, n_workers, n_servers):
+        for spec in (tiny_cnn(), self.WEE):
+            counted, numeric = self._runs(spec, n_workers, n_servers)
+            assert numeric.transport.ledger.messages == counted.ledger.messages
+            p_total = sum(t.size for layer in numeric.state.params
+                          for t in layer)
+            assert len(counted.ledger.messages) == \
+                2 * 2 * n_workers * min(n_servers, p_total)
+
+    def test_servers_past_the_last_element_get_no_messages(self):
+        _, numeric = self._runs(self.WEE, 2, 24)
+        touched = {m.dst for m in numeric.transport.ledger.messages} | \
+            {m.src for m in numeric.transport.ledger.messages}
+        assert {s.index for s in touched if s.role is Role.PS_SERVER} == \
+            set(range(20))
+
+    def test_digests_do_not_depend_on_the_server_count(self):
+        """Servers add pushes elementwise in worker order and the momentum
+        step is elementwise, so where the ranges fall cannot change a bit."""
+        for spec in (tiny_cnn(), self.WEE):
+            digests = {(param_digest(r.state.params),
+                        param_digest(r.state.velocities), tuple(r.losses))
+                       for r in (self._runs(spec, 3, n)[1]
+                                 for n in (1, 2, 3, 9, 24))}
+            assert len(digests) == 1, spec.name
 
 
 class TestTraining:
@@ -134,26 +170,6 @@ class TestTraining:
         with pytest.raises(ConfigError, match="seed must be nonnegative"):
             PsCluster(spec, n_workers=2, n_servers=1,
                       batch_fn=make_batch_fn(spec, 0), lr=LR, seed=-1)
-
-    def test_reordered_push_is_named_error(self):
-        spec = tiny_cnn()
-        cluster = PsCluster(spec, n_workers=2, n_servers=1,
-                            batch_fn=make_batch_fn(spec, 7), lr=LR,
-                            momentum=MU, seed=3)
-        send = cluster.transport.send
-        held = []
-
-        def swap_first_two_pushes(msg):
-            if msg.tag is Tag.GRAD_PUSH and msg.round == 0 and not held:
-                held.append(msg)
-                return
-            send(msg)
-            if held and msg.tag is Tag.GRAD_PUSH and msg.round == 1:
-                send(held.pop())
-
-        cluster.transport.send = swap_first_two_pushes
-        with pytest.raises(PushOutOfOrder):
-            cluster.train(1)
 
     def test_failed_update_shuts_down(self, monkeypatch):
         spec = tiny_cnn()

@@ -1,16 +1,19 @@
 """Simulated output pinned across a matrix of protocols, models and sizes.
 
-Each case runs one protocol and hashes what it leaves behind: the ledger CSV,
-the ledger summary JSON and, for numeric runs, the losses and final parameter
-digest. Most pinned digests were computed with the thread-per-node executor,
-so they hold the sequential phase executor to the same messages, link
-sequences, phase loads and folds, byte for byte. The stanza cases whose CONV
-or FC group is not a power of two were re-pinned from the sequential
-executor alone when the allreduce's surplus rule became fixed (member 2i+1
-folds into member 2i); their clocks, phase times, byte totals, per-tag bytes
-and losses did not move, only the surplus transfers' src/dst, the per-node
-bytes and the parameter digests. Every case also runs with
-`threading.Thread.start` disabled: training and counting start no thread.
+Each case runs one protocol and pins two hashes of what it leaves behind.
+The ledger hash covers the ledger CSV and the ledger summary JSON: every
+message, phase load and clock. The numeric hash, for numeric runs only,
+covers the losses, the final parameter and velocity digests and, for stanza,
+the FC replica's holder and blob. A change to where bytes travel moves only
+ledger hashes; a change to arithmetic moves numeric hashes.
+
+When every parameter-server run came to shard the flat parameter vector into
+contiguous ranges, the 36 `ps/*` cases re-pinned their ledger hash, since a
+worker-server pair now moves one range per direction instead of one message
+per tensor. Their numeric hashes did not move: servers still add pushes
+elementwise in ascending worker order, and the momentum step is elementwise.
+Every case also runs with `threading.Thread.start` disabled: training and
+counting start no thread.
 """
 
 import hashlib
@@ -48,16 +51,16 @@ def _cases():
 
 
 def _run(case: str):
-    """Run one case; returns (transport, extra text to hash)."""
+    """Run one case; returns (transport, numeric text or None)."""
     kind, model, sizes = case.split("/")
     n, m = (int(s) for s in sizes.split("+"))
     if kind == "stanza_traffic":
         return stanza_traffic(builtin_model(model), n_conv=n, n_fc=m,
                               iterations=2, net=NET, conv_time=0.01,
-                              fc_unit_time=0.002), ""
+                              fc_unit_time=0.002), None
     if kind == "ps_traffic":
         return ps_traffic(builtin_model(model), n_workers=n, n_servers=m,
-                          iterations=2, net=NET, compute_time=0.01), ""
+                          iterations=2, net=NET, compute_time=0.01), None
     spec = tiny_cnn() if model == "tiny_cnn" else tiny_mlp()
     boundary = 4 if model == "tiny_mlp" else None
     kw = dict(batch_fn=make_batch_fn(spec, 13), lr=LR, momentum=MU, net=NET,
@@ -80,15 +83,16 @@ def _run(case: str):
                                f"{param_digest(state.velocities)} {extra}")
 
 
-def case_digest(case: str, workdir) -> str:
-    tr, extra = _run(case)
+def case_digests(case: str, workdir) -> tuple[str, str | None]:
+    """(ledger hash, numeric hash or None for a counted case)."""
+    tr, numeric = _run(case)
     csv_path, json_path = workdir / "ledger.csv", workdir / "summary.json"
     tr.ledger.export_csv(csv_path)
     tr.ledger.export_summary_json(json_path)
-    h = hashlib.sha256(csv_path.read_bytes())
-    h.update(json_path.read_bytes())
-    h.update(extra.encode())
-    return h.hexdigest()[:16]
+    ledger = hashlib.sha256(csv_path.read_bytes() + json_path.read_bytes())
+    return (ledger.hexdigest()[:16],
+            None if numeric is None
+            else hashlib.sha256(numeric.encode()).hexdigest()[:16])
 
 
 @pytest.fixture
@@ -100,7 +104,7 @@ def no_threads(monkeypatch):
 
 @pytest.mark.parametrize("case", list(_cases()))
 def test_output_pinned_and_threadless(case, tmp_path, no_threads):
-    assert case_digest(case, tmp_path) == PINNED[case]
+    assert case_digests(case, tmp_path) == (LEDGER[case], NUMERIC.get(case))
 
 
 def test_sequential_runs_never_touch_the_condition(monkeypatch):
@@ -127,10 +131,12 @@ def test_sequential_runs_never_touch_the_condition(monkeypatch):
 
 
 def test_matrix_is_fully_pinned():
-    assert sorted(_cases()) == sorted(PINNED)
+    assert sorted(_cases()) == sorted(LEDGER)
+    assert sorted(NUMERIC) == sorted(c for c in _cases()
+                                     if "traffic" not in c)
 
 
-PINNED = {
+LEDGER = {
     "stanza_traffic/alexnet/1+1": "9d08f7729d566b2d",
     "stanza_traffic/alexnet/2+1": "ae95c1ca0db5483f",
     "stanza_traffic/alexnet/2+2": "3e4d0c8a96a514c2",
@@ -209,70 +215,139 @@ PINNED = {
     "ps_traffic/vgg16/127+1": "6ee4df0f0e47d860",
     "ps_traffic/vgg16/127+2": "09e21e59785d9470",
     "ps_traffic/vgg16/127+3": "14ba0397ec1502c9",
-    "stanza/tiny_cnn/1+1": "d70956d3f78818a9",
-    "stanza/tiny_cnn/2+1": "34bd306305339549",
-    "stanza/tiny_cnn/2+2": "02e92a4d30396cb8",
-    "stanza/tiny_cnn/3+1": "3f51495c7f90e403",
-    "stanza/tiny_cnn/3+2": "be600c8e0a65f884",
-    "stanza/tiny_cnn/3+3": "6b5f02ecb734d332",
-    "stanza/tiny_cnn/5+1": "10bebfe674f57a03",
-    "stanza/tiny_cnn/5+2": "15f493bf07c9b542",
-    "stanza/tiny_cnn/5+3": "8076add580753f9d",
-    "stanza/tiny_cnn/8+1": "7b5d8d085a5ddd3c",
-    "stanza/tiny_cnn/8+2": "fc269b9b7a360343",
-    "stanza/tiny_cnn/8+3": "eb9f55c51010a068",
-    "stanza/tiny_cnn/13+1": "ed204abca5a1d045",
-    "stanza/tiny_cnn/13+2": "e51b75ba6f6e0491",
-    "stanza/tiny_cnn/13+3": "ca542dc3e26e6ea6",
-    "stanza/tiny_mlp/1+1": "400fb560e2ef0bc0",
-    "stanza/tiny_mlp/2+1": "0902c172c5916b22",
-    "stanza/tiny_mlp/2+2": "547f4dd6e7c81293",
-    "stanza/tiny_mlp/3+1": "a00853a0cc55e517",
-    "stanza/tiny_mlp/3+2": "5950eecc7e1f5bc7",
-    "stanza/tiny_mlp/3+3": "5e295580e0d40b1c",
-    "stanza/tiny_mlp/5+1": "bc874f3cf6795d8b",
-    "stanza/tiny_mlp/5+2": "732d636e9c7758fe",
-    "stanza/tiny_mlp/5+3": "15db4ded4c4696b6",
-    "stanza/tiny_mlp/8+1": "69963967fa604c15",
-    "stanza/tiny_mlp/8+2": "d2cf0c65c40cd135",
-    "stanza/tiny_mlp/8+3": "1a2bd62bbba163ac",
-    "stanza/tiny_mlp/13+1": "e6e9978f467bad7a",
-    "stanza/tiny_mlp/13+2": "cd778bb50f619020",
-    "stanza/tiny_mlp/13+3": "ee83d377cb97e3ad",
-    "ps/tiny_cnn/1+1": "ac796a6f11f8819c",
-    "ps/tiny_cnn/1+2": "bc61242c99b94114",
-    "ps/tiny_cnn/1+3": "6cc9897b77f965b7",
-    "ps/tiny_cnn/2+1": "d6198b175eb10abb",
-    "ps/tiny_cnn/2+2": "24750310389d5694",
-    "ps/tiny_cnn/2+3": "ca58f557d29e8fbb",
-    "ps/tiny_cnn/3+1": "2fd75b2ad1cf3627",
-    "ps/tiny_cnn/3+2": "2bf4bfa84c33ad5e",
-    "ps/tiny_cnn/3+3": "e5c83b12655ad75d",
-    "ps/tiny_cnn/5+1": "0f337cb74cac0b75",
-    "ps/tiny_cnn/5+2": "109cf5a48f0b8c3f",
-    "ps/tiny_cnn/5+3": "126bb35f494530a7",
-    "ps/tiny_cnn/8+1": "6081481c17905199",
-    "ps/tiny_cnn/8+2": "07ba3b4853ff8bd2",
-    "ps/tiny_cnn/8+3": "dcbf8514cc671ea7",
-    "ps/tiny_cnn/13+1": "72d36c988dff8a87",
-    "ps/tiny_cnn/13+2": "768c70eeee673cf5",
-    "ps/tiny_cnn/13+3": "0b622d15d908ef80",
-    "ps/tiny_mlp/1+1": "cf548fb15122f0e1",
-    "ps/tiny_mlp/1+2": "6444e0c31a9eb66b",
-    "ps/tiny_mlp/1+3": "e381f070bc2350db",
-    "ps/tiny_mlp/2+1": "73e2401736e750df",
-    "ps/tiny_mlp/2+2": "097f9e18d3d424e9",
-    "ps/tiny_mlp/2+3": "37321bd46b2540ab",
-    "ps/tiny_mlp/3+1": "f03e341721ff7ad7",
-    "ps/tiny_mlp/3+2": "c5779925bd7914ea",
-    "ps/tiny_mlp/3+3": "b436887625582458",
-    "ps/tiny_mlp/5+1": "d749628e41485397",
-    "ps/tiny_mlp/5+2": "0c6dfa74276602a1",
-    "ps/tiny_mlp/5+3": "5693a728400984be",
-    "ps/tiny_mlp/8+1": "50dbb5c2bf5073f7",
-    "ps/tiny_mlp/8+2": "e967b553b49a7ccf",
-    "ps/tiny_mlp/8+3": "db101d70e1ca1246",
-    "ps/tiny_mlp/13+1": "b655d28406633293",
-    "ps/tiny_mlp/13+2": "fdcc143b3b96bd0c",
-    "ps/tiny_mlp/13+3": "e90767224dc0526f",
+    "stanza/tiny_cnn/1+1": "c3f02b8edd2caf2d",
+    "stanza/tiny_cnn/2+1": "db7accd4fb6d131e",
+    "stanza/tiny_cnn/2+2": "b636ef90e8f5f549",
+    "stanza/tiny_cnn/3+1": "d4059cd798e4ddfb",
+    "stanza/tiny_cnn/3+2": "ffd1f2ed36140153",
+    "stanza/tiny_cnn/3+3": "ceae20650c61682a",
+    "stanza/tiny_cnn/5+1": "222e823140ecd73f",
+    "stanza/tiny_cnn/5+2": "4adbe3e82029e634",
+    "stanza/tiny_cnn/5+3": "716f77a9cf7ceea0",
+    "stanza/tiny_cnn/8+1": "17722c3609041057",
+    "stanza/tiny_cnn/8+2": "6d1e338d2ae634f2",
+    "stanza/tiny_cnn/8+3": "bf0e73b6975be342",
+    "stanza/tiny_cnn/13+1": "1b4e044f5258842a",
+    "stanza/tiny_cnn/13+2": "458841d58c03ac5c",
+    "stanza/tiny_cnn/13+3": "ba210754426938d1",
+    "stanza/tiny_mlp/1+1": "fde91a3e109db402",
+    "stanza/tiny_mlp/2+1": "c71a3a63970baca8",
+    "stanza/tiny_mlp/2+2": "04d07cfd63942b71",
+    "stanza/tiny_mlp/3+1": "8cd8a3a45ab2a9c7",
+    "stanza/tiny_mlp/3+2": "5d78466a5296c1b7",
+    "stanza/tiny_mlp/3+3": "778f8dfb5860e2b5",
+    "stanza/tiny_mlp/5+1": "b22793637df6eab1",
+    "stanza/tiny_mlp/5+2": "64882691298af4c0",
+    "stanza/tiny_mlp/5+3": "1cf4581402d86c4f",
+    "stanza/tiny_mlp/8+1": "236b9c9ce7cdd6e7",
+    "stanza/tiny_mlp/8+2": "57fe652059405f34",
+    "stanza/tiny_mlp/8+3": "1db89f3934d2d75d",
+    "stanza/tiny_mlp/13+1": "2d4bd813f1b76236",
+    "stanza/tiny_mlp/13+2": "baf325471c0511d4",
+    "stanza/tiny_mlp/13+3": "66f227e1f5f70f9f",
+    "ps/tiny_cnn/1+1": "c409a73169ca8214",
+    "ps/tiny_cnn/1+2": "281fa30c00e216d0",
+    "ps/tiny_cnn/1+3": "2413ba63023cab58",
+    "ps/tiny_cnn/2+1": "6778d5c87942d729",
+    "ps/tiny_cnn/2+2": "720e1aef6d572cc6",
+    "ps/tiny_cnn/2+3": "87cfb0839cdadb2a",
+    "ps/tiny_cnn/3+1": "b4b62368dc5ca3b2",
+    "ps/tiny_cnn/3+2": "e6e2e25735c5168d",
+    "ps/tiny_cnn/3+3": "62c5cd40e6c89061",
+    "ps/tiny_cnn/5+1": "a15fc10280e9ced8",
+    "ps/tiny_cnn/5+2": "f1373645c2ab17a9",
+    "ps/tiny_cnn/5+3": "1c3794153a7366f5",
+    "ps/tiny_cnn/8+1": "a109871258b41e6e",
+    "ps/tiny_cnn/8+2": "c736bb79e1f5d2b1",
+    "ps/tiny_cnn/8+3": "6b879277b506955e",
+    "ps/tiny_cnn/13+1": "650c7e108cb11d48",
+    "ps/tiny_cnn/13+2": "0c2e48b0dacfafb0",
+    "ps/tiny_cnn/13+3": "d4672479bdd57e08",
+    "ps/tiny_mlp/1+1": "b2be091e46e7d0e0",
+    "ps/tiny_mlp/1+2": "d7e6d1b2b721ee6f",
+    "ps/tiny_mlp/1+3": "0f00ff2fb4dbb8f4",
+    "ps/tiny_mlp/2+1": "72e0958b6c475f5b",
+    "ps/tiny_mlp/2+2": "e616f6323312d706",
+    "ps/tiny_mlp/2+3": "72eed30665bff725",
+    "ps/tiny_mlp/3+1": "8db65215f96cd10d",
+    "ps/tiny_mlp/3+2": "4145301aa0cde56b",
+    "ps/tiny_mlp/3+3": "4d62eb6d183a3b7e",
+    "ps/tiny_mlp/5+1": "91289bc35e9619f9",
+    "ps/tiny_mlp/5+2": "a2afbc695d773f63",
+    "ps/tiny_mlp/5+3": "d55fb9d14a38d518",
+    "ps/tiny_mlp/8+1": "387fe12450f23499",
+    "ps/tiny_mlp/8+2": "c016071fa0871b3c",
+    "ps/tiny_mlp/8+3": "d7d3666db0ae0cbe",
+    "ps/tiny_mlp/13+1": "48306b5731ccae22",
+    "ps/tiny_mlp/13+2": "9b8357943ed4b0d5",
+    "ps/tiny_mlp/13+3": "7df1cd67bf440305",
+}
+
+NUMERIC = {
+    "stanza/tiny_cnn/1+1": "8c2f43947a2dbccc",
+    "stanza/tiny_cnn/2+1": "cd788e7bb486c0f1",
+    "stanza/tiny_cnn/2+2": "54b2c6efa86e6a21",
+    "stanza/tiny_cnn/3+1": "e919aa199db8e45b",
+    "stanza/tiny_cnn/3+2": "b332ecbeabb2a242",
+    "stanza/tiny_cnn/3+3": "969e0711f5887778",
+    "stanza/tiny_cnn/5+1": "74f92c91b3ae236e",
+    "stanza/tiny_cnn/5+2": "7c6ed8c682a6541c",
+    "stanza/tiny_cnn/5+3": "7c8902fb3b0211fa",
+    "stanza/tiny_cnn/8+1": "d7c4515b76396915",
+    "stanza/tiny_cnn/8+2": "64cd43698a3648f8",
+    "stanza/tiny_cnn/8+3": "55feec67f2c74592",
+    "stanza/tiny_cnn/13+1": "b08789b56c1b4048",
+    "stanza/tiny_cnn/13+2": "73e84a6cc183c0d0",
+    "stanza/tiny_cnn/13+3": "1afe95d0f1eea6da",
+    "stanza/tiny_mlp/1+1": "71dec061b38dfcbd",
+    "stanza/tiny_mlp/2+1": "45bb15d99373c40e",
+    "stanza/tiny_mlp/2+2": "757a9653d6ad9a31",
+    "stanza/tiny_mlp/3+1": "bc4f4bf4c63a9979",
+    "stanza/tiny_mlp/3+2": "c2863313551d58b3",
+    "stanza/tiny_mlp/3+3": "25493abcd264e348",
+    "stanza/tiny_mlp/5+1": "0bbdaed0fcbb04fa",
+    "stanza/tiny_mlp/5+2": "4e3d410cb1097817",
+    "stanza/tiny_mlp/5+3": "8a2349f84caa0fda",
+    "stanza/tiny_mlp/8+1": "7bf6df9375ab6867",
+    "stanza/tiny_mlp/8+2": "988eb0e7822dd0c1",
+    "stanza/tiny_mlp/8+3": "d3e062cdb903a532",
+    "stanza/tiny_mlp/13+1": "f6ef09ace3f3abea",
+    "stanza/tiny_mlp/13+2": "6510d9e896989306",
+    "stanza/tiny_mlp/13+3": "06e27dcfc3b229f2",
+    "ps/tiny_cnn/1+1": "e854dc604e9acfe5",
+    "ps/tiny_cnn/1+2": "e854dc604e9acfe5",
+    "ps/tiny_cnn/1+3": "e854dc604e9acfe5",
+    "ps/tiny_cnn/2+1": "9265905480989100",
+    "ps/tiny_cnn/2+2": "9265905480989100",
+    "ps/tiny_cnn/2+3": "9265905480989100",
+    "ps/tiny_cnn/3+1": "64197aa8e5a3c14d",
+    "ps/tiny_cnn/3+2": "64197aa8e5a3c14d",
+    "ps/tiny_cnn/3+3": "64197aa8e5a3c14d",
+    "ps/tiny_cnn/5+1": "9766acd54e0aa5c5",
+    "ps/tiny_cnn/5+2": "9766acd54e0aa5c5",
+    "ps/tiny_cnn/5+3": "9766acd54e0aa5c5",
+    "ps/tiny_cnn/8+1": "a26078ccc9255ab8",
+    "ps/tiny_cnn/8+2": "a26078ccc9255ab8",
+    "ps/tiny_cnn/8+3": "a26078ccc9255ab8",
+    "ps/tiny_cnn/13+1": "e0485865efe3067f",
+    "ps/tiny_cnn/13+2": "e0485865efe3067f",
+    "ps/tiny_cnn/13+3": "e0485865efe3067f",
+    "ps/tiny_mlp/1+1": "ec3dc0b38f550eb9",
+    "ps/tiny_mlp/1+2": "ec3dc0b38f550eb9",
+    "ps/tiny_mlp/1+3": "ec3dc0b38f550eb9",
+    "ps/tiny_mlp/2+1": "2257dfdeafb668ba",
+    "ps/tiny_mlp/2+2": "2257dfdeafb668ba",
+    "ps/tiny_mlp/2+3": "2257dfdeafb668ba",
+    "ps/tiny_mlp/3+1": "308162a4f957d373",
+    "ps/tiny_mlp/3+2": "308162a4f957d373",
+    "ps/tiny_mlp/3+3": "308162a4f957d373",
+    "ps/tiny_mlp/5+1": "12fde8c1ee8d168f",
+    "ps/tiny_mlp/5+2": "12fde8c1ee8d168f",
+    "ps/tiny_mlp/5+3": "12fde8c1ee8d168f",
+    "ps/tiny_mlp/8+1": "d28c5295fcb01953",
+    "ps/tiny_mlp/8+2": "d28c5295fcb01953",
+    "ps/tiny_mlp/8+3": "d28c5295fcb01953",
+    "ps/tiny_mlp/13+1": "2d0dc2ceb8145029",
+    "ps/tiny_mlp/13+2": "2d0dc2ceb8145029",
+    "ps/tiny_mlp/13+3": "2d0dc2ceb8145029",
 }
