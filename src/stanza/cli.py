@@ -32,7 +32,7 @@ from pathlib import Path
 from .harness import (_DATA, _MODES, COMPARE_FIELDS, CONFIG_TYPES,
                       ExperimentConfig, NonFinite, bench_constants, compare,
                       load_experiment_file, resolve_model, run)
-from .model_partition import ConfigError, split
+from .model_partition import ConfigError
 from .perf_model import (Infeasible, PerfConstants, best_split,
                          format_constants_text, load_constants_file)
 
@@ -134,14 +134,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    spec = resolve_model(args.model, args.batch_k)
+    spec = resolve_model(args.model, args.batch_k, args.boundary)
     constants = (PerfConstants() if args.constants is None
                  else load_constants_file(args.constants))
     if args.bandwidth is not None:
         constants = dataclasses.replace(constants, bandwidth=args.bandwidth)
     workers, coordinators, seconds = best_split(
-        split(spec, args.boundary), args.mode, args.nodes, constants,
-        fc_memory_bytes=args.memory)
+        spec, args.mode, args.nodes, constants, fc_memory_bytes=args.memory,
+        boundary=args.boundary)
     roles = (("workers", "servers") if args.mode == "ps"
              else ("CONV workers", "FC workers"))
     print(f"{spec.name} on {args.nodes} nodes: {workers} {roles[0]} + "
@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--constants", help="measured constants file")
     p_plan.add_argument("--bandwidth", type=float)
     p_plan.add_argument("--batch-k", type=int, dest="batch_k")
-    p_plan.add_argument("--boundary", type=int)
+    p_plan.add_argument("--boundary", type=int, help="CONV/FC cut layer "
+                        "index; checked in every mode, unused by a PS plan")
     p_plan.add_argument("--memory", type=float,
                         help="per-node activation memory limit in bytes")
     p_plan.set_defaults(func=_cmd_plan)

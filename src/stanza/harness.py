@@ -41,9 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from .checkpointing import TrainState, param_digest, start_state
-from .model_partition import (BadBoundary, ConfigError, ModelSpec, NoConvBlock,
-                              NoFcLayer, builtin_model, load_model_file,
-                              parse_kv_text, split)
+from .model_partition import (ConfigError, ModelSpec, NoConvBlock, NoFcLayer,
+                              builtin_model, load_model_file, parse_kv_text,
+                              split)
 from .perf_model import PerfConstants, best_split
 from .ps_runtime import PsCluster, ps_traffic
 from .stanza_runtime import StanzaCluster, stanza_traffic
@@ -73,7 +73,8 @@ class ExperimentConfig:
     from the explicit counts (workers plus servers / fc_workers) or from
     `nodes`, which hands the split to the planner using the compute
     constants below. `boundary` is the layer index to cut at for models
-    with no pooling stage in front of the FC stack.
+    with no pooling stage in front of the FC stack; it is checked in every
+    mode, and a PS run, which needs no cut, uses it only for FC-Data.
     """
     mode: str
     model: str
@@ -317,7 +318,8 @@ class CompareReport:
 
 # -- resolution helpers ------------------------------------------------------
 
-def resolve_model(name: str, batch_k: int | None = None) -> ModelSpec:
+def resolve_model(name: str, batch_k: int | None = None,
+                  boundary: int | None = None) -> ModelSpec:
     """Load a model by builtin name or file path, with optional batch_k."""
     path = Path(name)
     if path.suffix == ".model" or path.exists():
@@ -326,22 +328,25 @@ def resolve_model(name: str, batch_k: int | None = None) -> ModelSpec:
         spec = builtin_model(name)
     if batch_k is not None:
         spec = dataclasses.replace(spec, batch_k=batch_k)
+    if boundary is not None:
+        split(spec, boundary)  # a given cut is checked in every mode
     return spec
 
 
 def _try_fc_params(spec: ModelSpec, boundary: int | None) -> int | None:
+    """FC params at the cut; None if the model has no cut and no boundary."""
     try:
         return split(spec, boundary).fc_params
-    except (NoConvBlock, NoFcLayer, BadBoundary):
+    except (NoConvBlock, NoFcLayer):
         return None
 
 
 def _split_counts(config: ExperimentConfig, spec: ModelSpec) -> tuple[int, int]:
     """(workers, coordinators) for the configured mode, planning if asked."""
     if config.nodes is not None:
-        workers, coordinators, _ = best_split(split(spec, config.boundary),
-                                              config.mode, config.nodes,
-                                              config.constants())
+        workers, coordinators, _ = best_split(spec, config.mode, config.nodes,
+                                              config.constants(),
+                                              boundary=config.boundary)
         return workers, coordinators
     workers = config.workers if config.workers is not None else 1
     if config.mode == "single":
@@ -455,7 +460,7 @@ def _train_single(spec: ModelSpec, workers: int, iterations: int, batch_fn,
 
 def execute(config: ExperimentConfig):
     """Run one experiment. Returns (RunReport, final TrainState or None)."""
-    spec = resolve_model(config.model, config.batch_k)
+    spec = resolve_model(config.model, config.batch_k, config.boundary)
     workers, coordinators = _split_counts(config, spec)
     global_batch = workers * spec.batch_k
     iterations = _iteration_count(config, global_batch)

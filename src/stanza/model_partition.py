@@ -45,6 +45,8 @@ class ModelSpec:
 
     Executable specs carry `layers` plus the per-sample `input_shape`.
     Profiles carry counts: params_total, params_conv, boundary_activations.
+    params_total is every spec's parameter count P; an executable spec
+    computes it from its layers, and a conflicting value is a ConfigError.
     batch_k is the per-worker minibatch size the model is normally run with.
 
     Each construction, dataclasses.replace included, checks the spec and
@@ -67,6 +69,11 @@ class ModelSpec:
             shape = self.input_shape
             for layer in self.layers:  # raises ShapeMismatch on a misfit
                 shape = out_shape(layer, shape)
+            total = sum(param_count(layer) for layer in self.layers)
+            if self.params_total not in (None, total):
+                raise ConfigError(f"{self.name} has {total} parameters, not "
+                                  f"params_total={self.params_total}")
+            object.__setattr__(self, "params_total", total)
             return
         missing = [k for k in _PROFILE_COUNTS if getattr(self, k) is None]
         if missing:
@@ -135,15 +142,16 @@ class Partition:
         return self.spec.require_layers()[self.split_index:]
 
 
-def _block_params(layers) -> int:
-    return sum(param_count(l) for l in layers)
-
-
-def _boundary_count(spec: ModelSpec, split_index: int) -> int:
+def _cut_at(spec: ModelSpec, cut: int) -> Partition:
+    """An executable spec cut before layers[cut]; the back block holds the
+    rest of P."""
     shape = spec.input_shape
-    for layer in spec.layers[:split_index]:
+    for layer in spec.layers[:cut]:
         shape = out_shape(layer, shape)
-    return int(np.prod(shape))
+    conv = sum(param_count(layer) for layer in spec.layers[:cut])
+    return Partition(spec=spec, split_index=cut, conv_params=conv,
+                     fc_params=spec.params_total - conv,
+                     boundary_activations=int(np.prod(shape)))
 
 
 def split(spec: ModelSpec, boundary: int | None = None) -> Partition:
@@ -176,10 +184,7 @@ def split(spec: ModelSpec, boundary: int | None = None) -> Partition:
     if cut is None:
         raise NoConvBlock(f"{spec.name} has no pooling/flatten stage before "
                           "its first FullyConnected layer")
-    return Partition(spec=spec, split_index=cut,
-                     conv_params=_block_params(layers[:cut]),
-                     fc_params=_block_params(layers[cut:]),
-                     boundary_activations=_boundary_count(spec, cut))
+    return _cut_at(spec, cut)
 
 
 def mlp_split(spec: ModelSpec, boundary: int) -> Partition:
@@ -198,10 +203,7 @@ def mlp_split(spec: ModelSpec, boundary: int) -> Partition:
         raise BadBoundary("front block has no FullyConnected layer")
     if not any(isinstance(l, FullyConnected) for l in back):
         raise BadBoundary("back block has no FullyConnected layer")
-    return Partition(spec=spec, split_index=boundary,
-                     conv_params=_block_params(front),
-                     fc_params=_block_params(back),
-                     boundary_activations=_boundary_count(spec, boundary))
+    return _cut_at(spec, boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 The formulas mirror the simulator's phase accounting exactly: a phase
 costs its busiest node's transfer time at 4 bytes per tensor element,
-directions are metered independently, and message latency is zero. An
-allreduce's busiest node moves window(n) full payloads, so the exchange
-term uses window(n), not the structural round count: for a group with a
-surplus, the pre-send and return payloads pipeline into the doubling
-rounds of the busiest (donor) node.
+directions are metered independently, and message latency is zero.
+end_phase charges the exchange phase its busiest node's load over all
+rounds, window(n) payloads, not round_count(n): dependent rounds may
+overlap, though no code pipelines a surplus group's pre-send and return
+into the doubling rounds. ROADMAP.md item 7 tracks a round-true clock.
 
 With those conventions the model equals the simulator's clock to
 floating-point rounding at zero message latency for every parameter-server
@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .model_partition import ConfigError, Partition, parse_kv_text
+from .model_partition import (ConfigError, ModelSpec, Partition,
+                              parse_kv_text, split)
 from .ps_runtime import check_ps_shape
 from .stanza_runtime import check_stanza_shape
 
@@ -191,23 +192,24 @@ def assign_ps(params_total: int, batch_k: int, total_nodes: int,
     return best
 
 
-def best_split(part: Partition, mode: str, total_nodes: int, c: PerfConstants,
-               fc_memory_bytes: float | None = None
+def best_split(spec: ModelSpec, mode: str, total_nodes: int, c: PerfConstants,
+               fc_memory_bytes: float | None = None, boundary: int | None = None
                ) -> tuple[int, int, float]:
     """The planner's (workers, coordinators, seconds per iteration).
 
     mode "ps" splits the budget into workers and parameter servers with
-    assign_ps; any other mode into CONV and FC workers with assign_nodes,
-    under fc_memory_bytes. A memory limit on a "ps" plan is a ConfigError.
+    assign_ps, from P alone; any other mode cuts the model (split) and
+    splits the budget into CONV and FC workers with assign_nodes, under
+    fc_memory_bytes. A memory limit on a "ps" plan is a ConfigError.
     """
     if mode == "ps":
         if fc_memory_bytes is not None:
             raise ConfigError("a memory limit applies to layer-separated "
                               "plans only")
-        total = part.conv_params + part.fc_params
-        ps = assign_ps(total, part.spec.batch_k, total_nodes, c)
+        ps = assign_ps(spec.params_total, spec.batch_k, total_nodes, c)
         return (ps.n_workers, ps.n_servers,
-                ps_iter_time(total, ps.n_workers, ps.n_servers, c))
+                ps_iter_time(spec.params_total, ps.n_workers, ps.n_servers, c))
+    part = split(spec, boundary)
     st = assign_nodes(part, total_nodes, c, fc_memory_bytes)
     return st.n_conv, st.n_fc, stanza_iter_time(part, st.n_conv, st.n_fc, c)
 
@@ -229,8 +231,7 @@ def speedup(part: Partition, total_nodes: int, c: PerfConstants) -> float:
         raise Infeasible("speedup needs a worker beside the coordinator, "
                          f"got {total_nodes} nodes")
     workers = total_nodes - 1
-    total = part.conv_params + part.fc_params
-    t_ps = ps_iter_time(total, workers, 1, c)
+    t_ps = ps_iter_time(part.spec.params_total, workers, 1, c)
     t_stanza = stanza_iter_time(part, workers, 1, c)
     return t_ps / t_stanza
 

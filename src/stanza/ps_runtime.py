@@ -26,7 +26,7 @@ from itertools import accumulate
 from .checkpointing import TrainResult, TrainState, start_state
 from .model_partition import ConfigError, ModelSpec
 from .tensor_core import (OptimizerState, block_backward, block_forward,
-                          pack_vector, param_count, sgd_step, unpack_vector)
+                          pack_vector, sgd_step, unpack_vector)
 from .transport import (NetConfig, NodeId, Role, SimTransport, Tag,
                         payload_message)
 
@@ -191,9 +191,7 @@ def ps_traffic(spec: ModelSpec, *, n_workers: int, n_servers: int,
     exchange one message per direction carrying that server's range.
     """
     check_ps_shape(n_workers, n_servers)
-    total = (spec.params_total if spec.is_profile
-             else sum(param_count(layer) for layer in spec.layers))
-    shards = [n for n in equal_split(total, n_servers) if n]
+    shards = [n for n in equal_split(spec.params_total, n_servers) if n]
 
     tr = SimTransport(net)
     workers = [NodeId(Role.PS_WORKER, i) for i in range(n_workers)]

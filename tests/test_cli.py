@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import stanza
-from stanza import cli, harness
+from stanza import cli, harness, ps_runtime, stanza_runtime
 from stanza.cli import build_parser, main
 from stanza.harness import CONFIG_TYPES, ExperimentConfig, MismatchedConfigs
 from stanza.model_partition import (BadBoundary, ConfigError, NoConvBlock,
@@ -134,10 +134,13 @@ class TestBadRunInputs:
         ("single", ["--nodes", "9"]),
         ("single", ["--seed", "-1"]),
         ("stanza", ["--model", "alexnet", "--workers", "4", "--seed", "-1"]),
+        ("ps", ["--model", "tiny_mlp", "--workers", "4", "--boundary", "99"]),
+        ("ps", ["--boundary", "3"]),
     ], ids=["momentum", "conv-time", "bandwidth", "bandwidth-nan", "latency",
             "lr", "model-file", "model-batch-k-0", "model-boundary-negative",
             "model-boundary-0", "single-nodes", "seed-negative",
-            "counted-seed-negative"])
+            "counted-seed-negative", "ps-boundary-past-the-end",
+            "ps-boundary-no-front-fc"])
     def test_exits_2(self, tmp_path, capsys, mode, flags):
         for token, text in BAD_MODELS.items():
             (tmp_path / f"{token}.model").write_text(text)
@@ -155,6 +158,27 @@ class TestBadRunInputs:
                                 "--iterations", "1", "--workers", "2"], capsys)
         assert code == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mode", "single", "--workers", "2"],
+        ["run", "--mode", "ps", "--workers", "2"],
+        ["run", "--mode", "ps", "--nodes", "5"],
+        ["run", "--mode", "stanza", "--workers", "2"],
+        ["compare", "--workers", "2"],
+    ], ids=["run-single", "run-ps", "run-ps-nodes", "run-stanza", "compare"])
+    def test_bad_boundary_stops_before_training(self, capsys, monkeypatch,
+                                                argv):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        for module in (harness, ps_runtime, stanza_runtime):
+            monkeypatch.setattr(module, "block_forward", no_forward)
+        code, out, err = run_cli(argv + ["--model", "tiny_mlp", "--seed", "1",
+                                         "--iterations", "1",
+                                         "--boundary", "99"], capsys)
+        assert code == 2
+        assert "boundary 99 outside (0, 8)" in err
+        assert out == ""
 
     @pytest.mark.parametrize("error", [NoFcLayer, NoConvBlock, BadBoundary,
                                        NotExecutable, MismatchedConfigs])
@@ -372,6 +396,26 @@ class TestPlanCommand:
                                 "0.05", "--ps-compute-time", "0.02"], capsys)
         assert code == 0
         assert re.search(r"on (\d+)\+(\d+) nodes", out).groups() == planned
+
+    def test_ps_needs_no_cut(self, capsys):
+        """A PS run or plan of a model with no CONV/FC cut works; a
+        layer-separated one still exits 2 with the same message."""
+        code, out, _ = run_cli(["plan", "--model", "tiny_mlp", "--nodes",
+                                "5", "--mode", "ps"], capsys)
+        assert code == 0
+        assert "tiny_mlp on 5 nodes: 3 workers + 2 servers" in out
+        code, out, _ = run_cli(["run", "--mode", "ps", "--model", "tiny_mlp",
+                                "--nodes", "5", "--seed", "1",
+                                "--iterations", "1"], capsys)
+        assert code == 0
+        assert "ps tiny_mlp: 1 iterations on 3+2 nodes" in out
+        for argv in (["plan", "--model", "tiny_mlp", "--nodes", "5"],
+                     ["compare", "--model", "tiny_mlp", "--seed", "1",
+                      "--iterations", "1", "--workers", "2"]):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 2
+            assert ("tiny_mlp has no pooling/flatten stage before its first "
+                    "FullyConnected layer") in err
 
     def test_memory_limit_changes_plan(self, capsys):
         code, out, _ = run_cli(["plan", "--model", "alexnet", "--nodes", "8",

@@ -1,8 +1,9 @@
-"""Each demo's stdout pinned by sha256, so a demo line moves only on purpose.
+"""Each demo's stdout, and that of README's profile commands, pinned by
+sha256, so a line moves only on purpose.
 
 The demos print losses, byte counts and simulated clocks from fixed seeds;
-every number is deterministic. When a pin moves, rerun the demo and quote
-the changed lines next to the new hash.
+every number is deterministic. When a pin moves, rerun the demo or command
+and quote the changed lines next to the new hash.
 """
 
 import hashlib
@@ -10,6 +11,8 @@ import runpy
 from pathlib import Path
 
 import pytest
+
+from stanza import cli
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -34,3 +37,29 @@ def test_stdout_pinned(demo, capsys):
     runpy.run_path(str(DEMOS / demo), run_name="__main__")
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[demo], out
+
+
+# README's compare and plan commands on profile models, run in process. plan
+# keeps its default constants: bench's depend on host timing.
+COMMANDS = {
+    "compare --model alexnet --seed 1 --iterations 1 --epoch-samples 4096 "
+    "--workers 2 4 8":
+        "2c6c99e68b95093a7ce5787da2edbeb2eed05586fd4f7121b6e743b23e2ba193",
+    "plan --model alexnet --nodes 9":
+        "db793bc7eff41b947edee48754d38189fb85afd189046b1dbbae5d0bb39ba17c",
+    "plan --model alexnet --nodes 9 --mode ps":
+        "b10ce095eb2e326a32629088cd1597fe1f0f72a6ba25aea7b6e99e75dce2ea27",
+    "plan --model alexnet --nodes 128":
+        "736a6ea1c44ab957848a0438e2ccc82215905143c2dfe18c27075559b70370be",
+    "plan --model alexnet --nodes 128 --mode ps":
+        "8e9ed53bf2483e62207840561ead0862de8b3a59c355800ba9bcdf18f220f6e6",
+    "plan --model vgg16 --nodes 33 --mode ps":
+        "a515b08ae36431ac177b4546b7e0277fd811842b4f9c363ef219346829030a1d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_stdout_pinned(command, capsys):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMANDS[command], out

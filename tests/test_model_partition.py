@@ -11,7 +11,7 @@ from stanza.model_partition import (BadBoundary, ConfigError, ModelSpec,
                                     PROFILES, builtin_model,
                                     executable_spec, load_model_file,
                                     mlp_split, parse_model_text, profile_spec,
-                                    split, tiny_cnn)
+                                    split, tiny_cnn, tiny_mlp)
 from stanza.tensor_core import (Conv2d, Flatten, FullyConnected, MaxPool2d,
                                 ReLU, ShapeMismatch, SoftmaxCrossEntropy,
                                 param_count)
@@ -101,6 +101,27 @@ class TestMlpSplit:
 
 
 class TestCounting:
+    @pytest.mark.parametrize("spec,boundary", [
+        (tiny_cnn(), None), (tiny_cnn(), 8), (tiny_mlp(), 2), (tiny_mlp(), 4),
+        (tiny_mlp(), 6), (imagenet_style_mlp(), 4)],
+        ids=["tiny_cnn", "tiny_cnn-8", "tiny_mlp-2", "tiny_mlp-4",
+             "tiny_mlp-6", "mlp_3072-4"])
+    def test_executable_split_keeps_every_parameter(self, spec, boundary):
+        part = split(spec, boundary)
+        assert spec.params_total == sum(param_count(l) for l in spec.layers)
+        assert spec.params_total == part.conv_params + part.fc_params
+        assert part.conv_params == sum(param_count(l)
+                                       for l in part.conv_block)
+
+    def test_executable_params_total_conflict(self):
+        spec = tiny_cnn()
+        assert dataclasses.replace(spec, params_total=35578) == spec
+        with pytest.raises(ConfigError, match="35578 parameters"):
+            dataclasses.replace(spec, params_total=35577)
+        with pytest.raises(ConfigError, match="params_total=1"):
+            ModelSpec(name="x", batch_k=2, layers=spec.layers,
+                      input_shape=spec.input_shape, params_total=1)
+
     def test_alexnet_profile_counts(self):
         part = split(PROFILES["alexnet"])
         total = part.conv_params + part.fc_params

@@ -9,7 +9,7 @@ from oracles import best_ps_split_reference, best_split_reference, rel_err
 from stanza.model_partition import (ConfigError, builtin_model, profile_spec,
                                     split, tiny_cnn, tiny_mlp)
 from stanza.perf_model import (Infeasible, PerfConstants, assign_nodes,
-                               assign_ps, format_constants_text,
+                               assign_ps, best_split, format_constants_text,
                                load_constants_file,
                                parse_constants_text, ps_iter_time,
                                ps_throughput, speedup, stanza_iter_time,
@@ -237,6 +237,24 @@ class TestPlanner:
                                                bandwidth, tps)
                 assert (got.n_workers, got.n_servers) == want[:2]
                 assert rel_err(got.throughput, want[2]) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [tiny_mlp(), tiny_cnn()],
+                             ids=["tiny_mlp", "tiny_cnn"])
+    def test_ps_plan_matches_brute_force_over_the_simulator(self, spec):
+        """A PS plan needs only P, so tiny_mlp, which has no CONV/FC cut,
+        plans too; the planner picks the split whose simulated clock gives
+        the most samples per second, ties to fewer servers."""
+        for bandwidth, _, _, tps in CONSTANT_SETS:
+            c = PerfConstants(bandwidth=bandwidth, ps_compute_time=tps)
+            for n in range(2, 17):
+                clocks = {(n - s, s): ps_traffic(
+                    spec, n_workers=n - s, n_servers=s, compute_time=tps,
+                    net=NetConfig(bandwidth=bandwidth)).ledger.logical_clock
+                    for s in range(1, n)}
+                want = max(clocks, key=lambda ws: ws[0] / clocks[ws])
+                n_workers, n_servers, seconds = best_split(spec, "ps", n, c)
+                assert (n_workers, n_servers) == want, (bandwidth, n)
+                assert rel_err(seconds, clocks[want]) <= 1e-9
 
     def test_one_fc_worker_up_to_eleven_nodes(self):
         c = v100_class_constants()
