@@ -21,16 +21,14 @@ the upper-rank block. Every member therefore computes the bit-identical
 aligned binary tree sum, and the fold is a fixed function of the group.
 
 The schedule is written once, in _rounds: the transfers
-(src, dst, dst_first) of each surplus, doubling and return round. Two executors
-walk it. allreduce_group runs the whole group on the calling thread: each
-round sends all of its transfers, then delivers them in schedule order. The
-runtimes use it. allreduce_sum (float32 payloads) and allreduce_counted
-(size-only messages for count profiles) run one member's share of the same
-rounds and are called once per member, each on its own thread. Both
-executors produce the same messages, ledger and bits. A member's value is
-a float32 array or an element count, and transport.payload_message makes
-the matching tensor or size-only transfer, so one schedule serves numeric
-and counted runs alike.
+(src, dst, dst_first) of each surplus, doubling and return round. The
+runtimes' plans carry it as allreduce_steps, one step per round, and
+numeric runs fold each received value with fold. allreduce_group runs a
+whole group on the calling thread: each round sends all of its transfers,
+then delivers them in schedule order. allreduce_sum (float32 payloads) and
+allreduce_counted (size-only messages) run one member's share of the same
+rounds, each member on its own thread. All give the same messages, ledger
+and bits.
 """
 
 from __future__ import annotations
@@ -39,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import NodeId, SimTransport, Tag, Timeout, payload_message
+from .transport import (NodeId, SimTransport, Tag, Timeout, Transfer,
+                        payload_message)
 
 
 class MemberMissing(Timeout):
@@ -107,6 +106,21 @@ def _rounds(group: Group):
     return rounds
 
 
+def allreduce_steps(group: Group, op: str, elements: int) -> list:
+    """The allreduce of `elements` values per member as plan steps: one
+    step per _rounds round, each transfer with its fold order."""
+    return [[Transfer(src, dst, Tag.ALLREDUCE_CHUNK, op, rnd, elements,
+                      dst_first) for src, dst, dst_first in transfers]
+            for rnd, transfers in _rounds(group)]
+
+
+def fold(value: np.ndarray, got: np.ndarray, dst_first: bool | None):
+    """dst's new value after it receives `got` in the given fold order."""
+    if dst_first is None:
+        return got
+    return value + got if dst_first else got + value
+
+
 def _value(value):
     """A member's contribution: an element count for a size-only run, else
     a float32 array."""
@@ -131,10 +145,7 @@ def _deliver(transport: SimTransport, dst: NodeId, src: NodeId, value,
                             f"{exc}") from exc
     if isinstance(value, int):
         return value
-    got = msg.tensor().reshape(value.shape)
-    if dst_first is None:
-        return got
-    return value + got if dst_first else got + value
+    return fold(value, msg.tensor().reshape(value.shape), dst_first)
 
 
 def _result(value):

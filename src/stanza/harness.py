@@ -598,6 +598,9 @@ def compare(ps_config: ExperimentConfig, stanza_config: ExperimentConfig,
         a, b = getattr(ps_config, knob), getattr(stanza_config, knob)
         if a != b:
             raise MismatchedConfigs(f"{knob} differs: {a!r} vs {b!r}")
+    # the layer-separated runs need a cut: a missing one stops all training
+    split(resolve_model(stanza_config.model, stanza_config.batch_k),
+          stanza_config.boundary)
 
     if worker_counts is None:
         pairs = [(ps_config, stanza_config)]

@@ -46,7 +46,8 @@ class ModelSpec:
     Executable specs carry `layers` plus the per-sample `input_shape`.
     Profiles carry counts: params_total, params_conv, boundary_activations.
     params_total is every spec's parameter count P; an executable spec
-    computes it from its layers, and a conflicting value is a ConfigError.
+    computes it from its layers, and a conflicting value, or either of the
+    other two counts, is a ConfigError.
     batch_k is the per-worker minibatch size the model is normally run with.
 
     Each construction, dataclasses.replace included, checks the spec and
@@ -66,6 +67,10 @@ class ModelSpec:
         if self.layers is not None:
             if not self.layers:
                 raise ConfigError("empty layer list")
+            for count in ("params_conv", "boundary_activations"):
+                if getattr(self, count) is not None:
+                    raise ConfigError(f"{self.name} has layers, so it takes "
+                                      f"no profile count {count}")
             shape = self.input_shape
             for layer in self.layers:  # raises ShapeMismatch on a misfit
                 shape = out_shape(layer, shape)

@@ -10,13 +10,14 @@ step to their range, and the workers pull the updated ranges back. All
 phases are bulk synchronous, so the ledger clock charges each phase at its
 slowest node.
 
-Push and pull are written once, over the live servers, those whose range is
-not empty, and one value per (worker, live server): a float32 array or an
-element count (transport.payload_message). PsCluster passes the ranges
-themselves; ps_traffic passes their lengths. Remainders go to the first
-servers, so the live servers are a prefix and a server past the last
-element gets no message. Senders' messages go first, then receivers' in
-node order, on the calling thread.
+The schedule is written once, as data: ps_plan states one iteration as
+ordered phases (compute, push, update, pull) over the live servers, those
+whose range is not empty. Remainders go to the first servers, so the live
+servers are a prefix and a server past the last element gets no message.
+ps_traffic charges the plan to a ledger (transport.charge_plan) and sends
+nothing; PsCluster executes it through the mailbox (SimTransport.run_phase)
+with the ranges themselves. Each step's sends go first, then its receives
+in plan order, on the calling thread.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .model_partition import ConfigError, ModelSpec
 from .tensor_core import (OptimizerState, block_backward, block_forward,
                           pack_vector, sgd_step, unpack_vector)
 from .transport import (NetConfig, NodeId, Role, SimTransport, Tag,
-                        payload_message)
+                        Transfer, charge_plan)
 
 
 def check_ps_shape(n_workers: int, n_servers: int) -> None:
@@ -46,33 +47,24 @@ def equal_split(total: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def _push_phase(tr: SimTransport, workers, servers, it: int,
-                values) -> list:
-    """Every worker pushes servers[i] its value values[w][i], an array or an
-    element count; the server index rides along as the message round.
-    Returns, per server, the received values in worker order."""
-    with tr.phase("push"):
-        for w in workers:
-            for i, s in enumerate(servers):
-                tr.send(payload_message(w, s, Tag.GRAD_PUSH, values[w][i],
-                                        iteration=it, op="push", round=i))
-        return [[tr.recv(s, tag=Tag.GRAD_PUSH, src=w, timeout=0).value()
-                 for w in workers] for s in servers]
+def ps_plan(workers, servers, params_total: int,
+            compute_time: float) -> list:
+    """One PS iteration as (label, body) phases, in order.
 
-
-def _pull_phase(tr: SimTransport, workers, servers, it: int,
-                values) -> dict:
-    """servers[i] sends every worker its value values[i], an array or an
-    element count. Returns, per worker, the received values in server
-    order."""
-    with tr.phase("pull"):
-        for i, s in enumerate(servers):
-            for w in workers:
-                tr.send(payload_message(s, w, Tag.PARAM_PULL, values[i],
-                                        iteration=it, op="pull", round=i))
-        return {w: [tr.recv(w, tag=Tag.PARAM_PULL, src=s, timeout=0).value()
-                    for s in servers]
-                for w in workers}
+    Every worker pushes each live server its range of the packed gradient,
+    and each live server sends every worker its updated range back; the
+    server index rides along as the transfer round. The compute phase
+    carries compute_time seconds.
+    """
+    live = [(i, s, n) for i, (s, n) in
+            enumerate(zip(servers, equal_split(params_total, len(servers))))
+            if n]
+    push = [Transfer(w, s, Tag.GRAD_PUSH, "push", i, n)
+            for w in workers for i, s, n in live]
+    pull = [Transfer(s, w, Tag.PARAM_PULL, "pull", i, n)
+            for i, s, n in live for w in workers]
+    return [("compute", compute_time), ("push", [push]), ("update", []),
+            ("pull", [pull])]
 
 
 class PsCluster:
@@ -92,9 +84,7 @@ class PsCluster:
         self.spec = spec
         self.layers = spec.require_layers()
         self.batch_fn = batch_fn
-        self.compute_time = float(compute_time)
         self.n_workers = n_workers
-        self.n_servers = n_servers
 
         start = start_state(self.layers, seed, state)
         self.iteration = start.iteration
@@ -116,7 +106,8 @@ class PsCluster:
                                  initial=0))
         self._ranges = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])
                         if hi > lo]
-        self._live = self.server_ids[:len(self._ranges)]
+        self.plan = ps_plan(self.worker_ids, self.server_ids,
+                            self._params.size, float(compute_time))
         self._opt = OptimizerState(lr=lr, momentum=momentum,
                                    velocity=[[self._vel[r]]
                                              for r in self._ranges])
@@ -163,15 +154,20 @@ class PsCluster:
     def train(self, iterations: int) -> TrainResult:
         """Run `iterations` more iterations; may be called repeatedly."""
         losses = []
-        tr = self.transport
+        tr, plan = self.transport, dict(self.plan)
         for _ in range(iterations):
             it = self.iteration
-            tr.advance_compute(self.compute_time, "compute")
+            tr.advance_compute(plan["compute"], "compute")
             grads, loss_sum = self._local_gradients(it)
-            pushes = _push_phase(tr, self.worker_ids, self._live, it, grads)
+            pushes = [[] for _ in self._ranges]
+            tr.run_phase("push", plan["push"], it,
+                         lambda t: grads[t.src][t.round],
+                         lambda t, got: pushes[t.round].append(got))
             self._update_phase(pushes)
-            pulled = _pull_phase(tr, self.worker_ids, self._live, it,
-                                 [self._params[r] for r in self._ranges])
+            pulled = {w: [] for w in self.worker_ids}
+            tr.run_phase("pull", plan["pull"], it,
+                         lambda t: self._params[self._ranges[t.round]],
+                         lambda t, got: pulled[t.dst].append(got))
             for w, ranges in pulled.items():
                 self.worker_params[w] = unpack_vector(pack_vector([ranges]),
                                                       self.worker_params[w])
@@ -184,24 +180,14 @@ class PsCluster:
 def ps_traffic(spec: ModelSpec, *, n_workers: int, n_servers: int,
                iterations: int = 1, net: NetConfig | None = None,
                compute_time: float = 0.0) -> SimTransport:
-    """Size-only run of the push/update/pull schedule for traffic accounting.
+    """Counted run of the push/update/pull plan for traffic accounting.
 
     Works for profile specs (no layers) as well as executable ones, with the
     same contiguous ranges PsCluster uses: each worker and live server
-    exchange one message per direction carrying that server's range.
+    exchange one transfer per direction carrying that server's range.
     """
     check_ps_shape(n_workers, n_servers)
-    shards = [n for n in equal_split(spec.params_total, n_servers) if n]
-
-    tr = SimTransport(net)
-    workers = [NodeId(Role.PS_WORKER, i) for i in range(n_workers)]
-    servers = [NodeId(Role.PS_SERVER, i) for i in range(n_servers)]
-    tr.register_all(workers + servers)
-    live = servers[:len(shards)]
-    for it in range(iterations):
-        tr.advance_compute(compute_time, "compute")
-        _push_phase(tr, workers, live, it, dict.fromkeys(workers, shards))
-        with tr.phase("update"):
-            pass
-        _pull_phase(tr, workers, live, it, shards)
-    return tr
+    plan = ps_plan([NodeId(Role.PS_WORKER, i) for i in range(n_workers)],
+                   [NodeId(Role.PS_SERVER, i) for i in range(n_servers)],
+                   spec.params_total, compute_time)
+    return charge_plan(plan, iterations, net)

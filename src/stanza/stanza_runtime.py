@@ -13,39 +13,29 @@ fc_unit_time per served CONV batch); the numeric math runs regardless and
 takes no simulated time of its own. The two allreduces share one exchange
 phase, so the clock charges max(conv window, fc window), never the sum.
 
-The schedule is written once: the activations, boundary and exchange
-phases are module-level functions over one Layout of the nodes. Each
-payload is a float32 array or an element count (transport.payload_message).
-StanzaCluster passes arrays and labels; stanza_traffic passes counts and no
-labels, so size-only runs ship no CONTROL messages.
-
-Every phase runs on the calling thread. The sending nodes' steps run first,
-then the receiving nodes' steps in node order; each receive takes an already
-queued message, so a message that was never sent raises MissingSource at
-once. Host threads never change what is simulated: messages, link
-sequences, phase loads and folds are fixed by the schedule.
+The schedule is written once, as data: stanza_plan states an iteration,
+the same in every iteration. stanza_traffic charges the plan to a ledger
+and sends nothing (transport.charge_plan); StanzaCluster executes it on
+the calling thread with float32 arrays (SimTransport.run_phase). Only
+numeric runs plan labels, one CONTROL transfer per CONV worker, so counted
+runs ship none.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpointing import (TrainResult, TrainState, start_state,
                             state_to_bytes)
-from .collectives import Group, allreduce_group
+from .collectives import Group, allreduce_steps, fold
 from .model_partition import ConfigError, ModelSpec, Partition, split
 from .ps_runtime import equal_split
 from .tensor_core import (OptimizerState, block_backward, block_forward,
                           pack_vector, sgd_step, unpack_vector)
 from .transport import (Message, NetConfig, NodeId, Role, SimTransport, Tag,
-                        Timeout, payload_message)
-
-
-class MissingSource(Timeout):
-    """An expected upstream node never delivered its payload."""
+                        Transfer, charge_plan)
 
 
 def check_stanza_shape(n_conv: int, n_fc: int) -> None:
@@ -71,103 +61,43 @@ def plan_groups(n_conv: int, n_fc: int) -> list[int]:
     return conv_to_fc
 
 
-@dataclass(frozen=True)
-class Layout:
-    """The nodes of one deployment and which FC worker serves which CONV
-    worker; numeric and size-only runs share it."""
-    conv_ids: tuple[NodeId, ...]
-    fc_ids: tuple[NodeId, ...]
-    conv_group: Group
-    fc_group: Group
-    fc_of: dict[NodeId, NodeId]               # serving FC worker per CONV worker
-    served: dict[NodeId, tuple[NodeId, ...]]  # CONV workers per FC worker
-
-    @classmethod
-    def plan(cls, n_conv: int, n_fc: int) -> "Layout":
-        conv_to_fc = plan_groups(n_conv, n_fc)
-        conv_ids = tuple(NodeId(Role.CONV_WORKER, i) for i in range(n_conv))
-        fc_ids = tuple(NodeId(Role.FC_WORKER, j) for j in range(n_fc))
-        fc_of = {c: fc_ids[j] for c, j in zip(conv_ids, conv_to_fc)}
-        served = {f: tuple(c for c in conv_ids if fc_of[c] == f)
-                  for f in fc_ids}
-        return cls(conv_ids, fc_ids, Group(conv_ids), Group(fc_ids), fc_of,
-                   served)
-
-    @property
-    def max_group(self) -> int:
-        return max(len(sources) for sources in self.served.values())
+def served_by(n_conv: int, n_fc: int) -> dict[NodeId, tuple[NodeId, ...]]:
+    """The CONV workers each FC worker serves (plan_groups); in this order
+    the CONV workers are in index order too."""
+    conv_to_fc = plan_groups(n_conv, n_fc)
+    return {NodeId(Role.FC_WORKER, j):
+            tuple(NodeId(Role.CONV_WORKER, i)
+                  for i, fc in enumerate(conv_to_fc) if fc == j)
+            for j in range(n_fc)}
 
 
-def _receive(transport: SimTransport, dst: NodeId, tag: Tag, src: NodeId,
-             iteration: int) -> Message:
-    """The message src queued for dst this iteration; MissingSource if none
-    was sent."""
-    try:
-        msg = transport.recv(dst, tag=tag, src=src, timeout=0)
-    except Timeout as exc:
-        raise MissingSource(f"{dst} got no {tag.value} from {src} at "
-                            f"iteration {iteration}") from exc
-    if msg.iteration != iteration:
-        raise MissingSource(f"{src} delivered iteration {msg.iteration}, "
-                            f"expected {iteration}")
-    return msg
+def stanza_plan(served: dict, partition: Partition, batch_k: int, *,
+                conv_time: float, fc_unit_time: float, labels: bool) -> list:
+    """One layer-separated iteration as (label, body) phases, in order.
 
-
-def _activations_phase(tr: SimTransport, layout: Layout, it: int, acts,
-                       labels=None) -> dict:
-    """Every CONV worker ships its boundary activations to its FC worker.
-
-    acts maps each CONV worker to its activations, an array or an element
-    count. Labels, when given, follow as one CONTROL message per CONV
-    worker; size-only runs pass none. Returns per FC worker the received
-    activations and labels (None without labels), in served order.
+    Each CONV worker ships its FC worker its activations (then its labels,
+    when `labels`) and gets its boundary-gradient slice back; both groups
+    then allreduce in one exchange. fc_compute charges fc_unit_time per
+    CONV batch the busiest FC worker serves.
     """
-    with tr.phase("activations"):
-        for c, f in layout.fc_of.items():
-            tr.send(payload_message(c, f, Tag.ACTIVATIONS, acts[c],
-                                    iteration=it, op="activations"))
-            if labels is not None:
-                tr.send(payload_message(c, f, Tag.CONTROL, labels[c],
-                                        iteration=it, op="labels"))
-        gathered = {}
-        for f, sources in layout.served.items():
-            xs = [_receive(tr, f, Tag.ACTIVATIONS, c, it).value()
-                  for c in sources]
-            ys = None
-            if labels is not None:
-                ys = [_receive(tr, f, Tag.CONTROL, c, it).tensor()
-                      .astype(np.int64) for c in sources]
-            gathered[f] = (xs, ys)
-        return gathered
-
-
-def _boundary_phase(tr: SimTransport, layout: Layout, it: int, grads) -> dict:
-    """Every FC worker returns each served CONV worker its boundary-gradient
-    slice (an array or an element count); returns what each CONV worker got.
-    """
-    with tr.phase("boundary"):
-        for f, sources in layout.served.items():
-            for c in sources:
-                tr.send(payload_message(f, c, Tag.BOUNDARY_GRADS, grads[c],
-                                        iteration=it, op="boundary"))
-        return {c: _receive(tr, c, Tag.BOUNDARY_GRADS, f, it).value()
-                for c, f in layout.fc_of.items()}
-
-
-def _exchange_phase(tr: SimTransport, layout: Layout, conv_values, fc_values):
-    """Both groups allreduce their block gradients in one overlapped phase.
-
-    The values are each member's packed gradient sum or its element count;
-    returns the two groups' allreduce_group results. Each group's surplus
-    members and donors follow collectives.surplus_protocol's fixed rule, so
-    every iteration moves the same bytes between the same nodes.
-    """
-    with tr.phase("exchange"):
-        conv_sums = allreduce_group(tr, layout.conv_group, conv_values,
-                                    op="conv_allreduce")
-        fc_sums = allreduce_group(tr, layout.fc_group, fc_values,
-                                  op="fc_allreduce")
-        return conv_sums, fc_sums
+    a_k = partition.boundary_activations * batch_k
+    activations, boundary = [], []
+    for f, sources in served.items():
+        for c in sources:
+            activations.append(Transfer(c, f, Tag.ACTIVATIONS, "activations",
+                                        None, a_k))
+            if labels:
+                activations.append(Transfer(c, f, Tag.CONTROL, "labels",
+                                            None, batch_k))
+            boundary.append(Transfer(f, c, Tag.BOUNDARY_GRADS, "boundary",
+                                     None, a_k))
+    conv = Group(tuple(c for sources in served.values() for c in sources))
+    exchange = (allreduce_steps(conv, "conv_allreduce", partition.conv_params)
+                + allreduce_steps(Group(tuple(served)), "fc_allreduce",
+                                  partition.fc_params))
+    return [("conv_compute", conv_time), ("activations", [activations]),
+            ("fc_compute", max(map(len, served.values())) * fc_unit_time),
+            ("boundary", [boundary]), ("exchange", exchange), ("update", [])]
 
 
 class StanzaCluster:
@@ -191,18 +121,18 @@ class StanzaCluster:
         self.layers = spec.require_layers()
         self.partition: Partition = split(spec, boundary)
         self.batch_fn = batch_fn
-        self.conv_time = float(conv_time)
-        self.fc_unit_time = float(fc_unit_time)
         self.seed = seed
         self.n_conv = n_conv
-        self.n_fc = n_fc
-        self.layout = Layout.plan(n_conv, n_fc)
+        self.served = served_by(n_conv, n_fc)
+        self.plan = stanza_plan(self.served, self.partition, spec.batch_k,
+                                conv_time=float(conv_time),
+                                fc_unit_time=float(fc_unit_time), labels=True)
 
         cut = self.partition.split_index
         start = start_state(self.layers, seed, state)
         self.iteration = start.iteration
-        self.conv_ids = self.layout.conv_ids
-        self.fc_ids = self.layout.fc_ids
+        self.fc_ids = tuple(self.served)
+        self.conv_ids = tuple(c for cs in self.served.values() for c in cs)
         self.transport = SimTransport(net)
         self.transport.register_all(self.conv_ids + self.fc_ids)
 
@@ -256,7 +186,7 @@ class StanzaCluster:
                             payload_elements=(len(blob) + 3) // 4,
                             payload=blob, iteration=self.iteration,
                             op="checkpoint"))
-            msg = _receive(tr, holder, Tag.CHECKPOINT, f0, self.iteration)
+            msg = tr.take(holder, Tag.CHECKPOINT, f0, self.iteration)
         self.replica_snapshots[holder] = msg.payload
         return self.state()
 
@@ -283,50 +213,58 @@ class StanzaCluster:
         k = self.spec.batch_k
         for f, (acts, labels) in gathered.items():
             x = np.concatenate(acts)
-            y = np.concatenate(labels)
+            y = np.concatenate(labels).astype(np.int64)
             out, caches = block_forward(fc_block, self.fc_params[f], x,
                                         labels=y)
             gx, grads = block_backward(fc_block, self.fc_params[f], caches,
                                        None, input_grad=True)
             fc_grads[f] = grads
             loss_sum += float(out.sum())
-            for pos, c in enumerate(self.layout.served[f]):
+            for pos, c in enumerate(self.served[f]):
                 boundary[c] = gx[pos * k:(pos + 1) * k]
         return fc_grads, boundary, loss_sum
 
-    def _update_phase(self, conv_sums, fc_sums):
+    def _update_phase(self, sums):
         n = self.n_conv * self.spec.batch_k
         with self.transport.phase("update"):
             for c in self.conv_ids:
-                grads = unpack_vector(conv_sums[c], self.conv_params[c])
+                grads = unpack_vector(sums[c], self.conv_params[c])
                 sgd_step(self.conv_params[c], grads, n, self.conv_opt[c])
             for f in self.fc_ids:
-                grads = unpack_vector(fc_sums[f], self.fc_params[f])
+                grads = unpack_vector(sums[f], self.fc_params[f])
                 sgd_step(self.fc_params[f], grads, n, self.fc_opt[f])
 
     def train(self, iterations: int) -> TrainResult:
         """Run `iterations` more iterations; may be called repeatedly."""
         losses = []
         conv_block = self.partition.conv_block
-        tr, layout = self.transport, self.layout
+        tr, plan = self.transport, dict(self.plan)
         for _ in range(iterations):
             it = self.iteration
-            tr.advance_compute(self.conv_time, "conv_compute")
+            tr.advance_compute(plan["conv_compute"], "conv_compute")
             acts, labels, conv_caches = self._conv_forward(it)
-            gathered = _activations_phase(tr, layout, it, acts, labels)
-            tr.advance_compute(layout.max_group * self.fc_unit_time,
-                               "fc_compute")
+            gathered = {f: ([], []) for f in self.fc_ids}
+            tr.run_phase(
+                "activations", plan["activations"], it,
+                lambda t: (labels if t.tag is Tag.CONTROL else acts)[t.src],
+                lambda t, got: gathered[t.dst][t.tag is Tag.CONTROL]
+                .append(got))
+            tr.advance_compute(plan["fc_compute"], "fc_compute")
             fc_grads, boundary_out, loss_sum = self._fc_step(gathered)
-            boundary_in = _boundary_phase(tr, layout, it, boundary_out)
-            conv_grads = {}
+            boundary_in = {}
+            tr.run_phase("boundary", plan["boundary"], it,
+                         lambda t: boundary_out[t.dst],
+                         lambda t, got: boundary_in.__setitem__(t.dst, got))
+            acc = {f: pack_vector(g) for f, g in fc_grads.items()}
             for c in self.conv_ids:
                 _, g = block_backward(conv_block, self.conv_params[c],
                                       conv_caches[c], boundary_in[c])
-                conv_grads[c] = pack_vector(g)
-            conv_sums, fc_sums = _exchange_phase(
-                tr, layout, conv_grads,
-                {f: pack_vector(g) for f, g in fc_grads.items()})
-            self._update_phase(conv_sums, fc_sums)
+                acc[c] = pack_vector(g)
+            tr.run_phase("exchange", plan["exchange"], it,
+                         lambda t: acc[t.src],
+                         lambda t, got: acc.__setitem__(
+                             t.dst, fold(acc[t.dst], got, t.dst_first)))
+            self._update_phase(acc)
             losses.append(loss_sum / (self.n_conv * self.spec.batch_k))
             self.iteration += 1
         return TrainResult(losses=losses, state=self.state(),
@@ -337,26 +275,13 @@ def stanza_traffic(spec: ModelSpec, *, n_conv: int, n_fc: int,
                    iterations: int = 1, net: NetConfig | None = None,
                    conv_time: float = 0.0, fc_unit_time: float = 0.0,
                    boundary: int | None = None) -> SimTransport:
-    """Size-only run of the layer-separated schedule for traffic accounting.
+    """Counted run of the layer-separated plan for traffic accounting.
 
-    Works for profile specs as well as executable ones. Profile runs ship no
+    Works for profile specs as well as executable ones. Counted runs ship no
     labels: the closed-form model has no label term, and this keeps the
     simulated clock exactly equal to it.
     """
-    partition = split(spec, boundary)
-    layout = Layout.plan(n_conv, n_fc)
-    tr = SimTransport(net)
-    tr.register_all(layout.conv_ids + layout.fc_ids)
-    a_k = dict.fromkeys(layout.conv_ids,
-                        partition.boundary_activations * spec.batch_k)
-    conv_params = dict.fromkeys(layout.conv_ids, partition.conv_params)
-    fc_params = dict.fromkeys(layout.fc_ids, partition.fc_params)
-    for it in range(iterations):
-        tr.advance_compute(conv_time, "conv_compute")
-        _activations_phase(tr, layout, it, a_k)
-        tr.advance_compute(layout.max_group * fc_unit_time, "fc_compute")
-        _boundary_phase(tr, layout, it, a_k)
-        _exchange_phase(tr, layout, conv_params, fc_params)
-        with tr.phase("update"):
-            pass
-    return tr
+    plan = stanza_plan(served_by(n_conv, n_fc), split(spec, boundary),
+                       spec.batch_k, conv_time=conv_time,
+                       fc_unit_time=fc_unit_time, labels=False)
+    return charge_plan(plan, iterations, net)

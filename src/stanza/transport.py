@@ -1,41 +1,38 @@
 """Simulated in-process network with byte accounting and a logical clock.
 
-All nodes of a cluster share one SimTransport. send() is nonblocking and
-queues the message at its destination; recv() takes the earliest queued
-message matching a (tag, source) filter. Delivery per (src, dst) pair is
-FIFO; the filter skips non-matching queued messages without consuming them.
+Each protocol states one iteration as a plan: ordered phases, each a
+compute time or steps of Transfers (src, dst, tag, op, round, elements),
+the same in every iteration. The plan has two readers. charge_plan charges
+it to a TrafficLedger for counted runs, and builds no Message, queues
+nothing and calls neither send() nor recv(). SimTransport.run_phase
+executes one phase for numeric runs: per step, every transfer is sent,
+then each is taken in plan order.
 
-The runtimes execute every phase on the calling thread: first the sending
-nodes' steps, then the receiving nodes' steps in node order, each receive
-with timeout=0. A message that was never sent therefore raises Timeout at
-once instead of after a wall-clock wait, and phase() shuts the transport
-down so the failed phase's leftovers are never read. Every method holds one
-plain lock. recv() with a positive timeout blocks until a match arrives,
-waiting on a condition built on that lock; it serves callers that run one
-thread per node, such as run_node_threads. send() notifies only while a
-receiver waits, so a run on one thread never touches the condition.
+send() queues the message at its destination; recv() takes the earliest
+queued message matching a (tag, source) filter. Delivery per (src, dst)
+pair is FIFO; the filter skips non-matching queued messages without
+consuming them. Phases run on the calling thread and receive with
+timeout=0, so a message that was never sent raises at once, and phase()
+shuts the transport down so the failed phase's leftovers are never read.
+Every method holds one plain lock. recv() with a positive timeout waits on
+a condition built on that lock, for callers that run one thread per node,
+such as run_node_threads; send() notifies only while a receiver waits.
 
-Time is logical, not wall-clock. The run driver brackets protocol steps in
-*phases*; when a phase closes, the clock advances by the phase's bottleneck
-transfer time, from per-node loads summed over the ledger's phase records:
+Time is logical, not wall-clock. When a phase closes, through
+TrafficLedger.close_phase for both readers, the clock advances by the
+phase's bottleneck transfer time, from per-node loads over its transfers:
 
     elapsed = max over nodes of max(sent payload bytes, received payload
               bytes) * 8 / bandwidth, plus one per_message_latency if the
               phase moved any message.
 
 A message sent between phases counts toward the next phase to close.
-
 Send and receive directions are metered independently (full duplex). The
 fixed 32-byte per-message header is tracked in the ledger's byte counters
 but excluded from transfer-time arithmetic and from tag-filtered traffic
-metrics, which count tensor payload bytes only.
-
-Count-profile runs move size-only messages: payload None, payload_elements
-authoritative (4 bytes per element). Numeric runs carry real payload bytes,
-and for tensor-bearing tags len(payload) == 4 * payload_elements always.
-payload_message makes a tensor message from an array and a size-only one
-from an element count, and Message.value() gives the receiver the same kind
-of value back, so one phase body serves both kinds of run.
+metrics, which count tensor payload bytes only. For tensor-bearing tags
+len(payload) == 4 * payload_elements; payload_message also makes size-only
+messages (payload None) from an element count.
 """
 
 from __future__ import annotations
@@ -96,6 +93,10 @@ class Timeout(TimeoutError):
     pass
 
 
+class MissingSource(Timeout):
+    """An expected upstream node never delivered its payload."""
+
+
 class ClusterShutDown(RuntimeError):
     pass
 
@@ -129,10 +130,17 @@ class Message:
         a = np.frombuffer(self.payload, dtype="<f4")
         return a.reshape(self.shape) if self.shape is not None else a
 
-    def value(self) -> np.ndarray | int:
-        """The payload as payload_message took it: the tensor, or the element
-        count of a size-only message."""
-        return self.payload_elements if self.payload is None else self.tensor()
+
+class Transfer(NamedTuple):
+    """One planned message of `elements` float32 values. An allreduce
+    transfer's dst_first is its fold order (collectives.fold)."""
+    src: NodeId
+    dst: NodeId
+    tag: Tag
+    op: str
+    round: int | None
+    elements: int
+    dst_first: bool | None = None
 
 
 def payload_message(src: NodeId, dst: NodeId, tag: Tag, value, *,
@@ -180,6 +188,7 @@ class TrafficLedger:
     Accounting happens at delivery time, so total sent == total received at
     every instant, not just at barriers. Metrics queries (bytes_for_tags)
     count payload bytes only; SimTransport.end_phase reads `messages` too.
+    The phase index of a record is the number of phases closed before it.
     """
 
     def __init__(self):
@@ -191,17 +200,24 @@ class TrafficLedger:
         self.phases: list[PhaseRecord] = []
         self.messages: list[MessageRecord] = []
 
-    def observe(self, msg: Message, phase: str, phase_index: int,
-                nbytes: int) -> None:
-        """Count one delivered message whose payload is nbytes long."""
-        wire = nbytes + HEADER_BYTES
-        self.node_sent[msg.src] = self.node_sent.get(msg.src, 0) + wire
-        self.node_received[msg.dst] = self.node_received.get(msg.dst, 0) + wire
-        self.tag_payload_bytes[msg.tag] += nbytes
-        self.tag_messages[msg.tag] += 1
-        self.messages.append(MessageRecord(
-            phase, phase_index, msg.src, msg.dst, msg.tag, msg.op, msg.round,
-            nbytes))
+    def record(self, phase: str, phase_index: int, rows) -> None:
+        """Log and count delivered messages, one per row (src, dst, tag, op,
+        round, payload bytes): a MessageRecord's last six fields."""
+        sent, received = self.node_sent, self.node_received
+        tag_bytes, tag_messages = self.tag_payload_bytes, self.tag_messages
+        for src, dst, tag, _, _, nbytes in rows:
+            sent[src] = sent.get(src, 0) + nbytes + HEADER_BYTES
+            received[dst] = received.get(dst, 0) + nbytes + HEADER_BYTES
+            tag_bytes[tag] += nbytes
+            tag_messages[tag] += 1
+        self.messages.extend([MessageRecord(phase, phase_index, *row)
+                              for row in rows])
+
+    def close_phase(self, label: str, elapsed: float) -> float:
+        """Log one phase and advance the clock by its elapsed seconds."""
+        self.logical_clock += elapsed
+        self.phases.append(PhaseRecord(label, elapsed))
+        return elapsed
 
     # -- queries ------------------------------------------------------------
 
@@ -305,7 +321,6 @@ class SimTransport:
         self._queues: dict[NodeId, deque[Message]] = {}
         self._shutdown = False
         self._phase = "setup"
-        self._phase_index = 0
         self._phase_start = 0   # first ledger record the open phase charges
 
     # -- membership ----------------------------------------------------------
@@ -337,7 +352,9 @@ class SimTransport:
             q = self._queues.get(msg.dst)
             if q is None:
                 raise UnknownNode(f"unregistered destination {msg.dst}")
-            self.ledger.observe(msg, self._phase, self._phase_index, nbytes)
+            self.ledger.record(self._phase, len(self.ledger.phases),
+                               [(msg.src, msg.dst, msg.tag, msg.op, msg.round,
+                                 nbytes)])
             q.append(msg)
             if self._waiters:
                 self._cv.notify_all()
@@ -397,15 +414,13 @@ class SimTransport:
         The phase holds every ledger record since the last end_phase, so a
         send outside a bracket is charged here, once."""
         with self._lock:
-            records = self.ledger.messages
+            ledger = self.ledger
             loads = map(attrgetter("src", "dst", "payload_bytes"),
-                        records[self._phase_start:])
-            elapsed = phase_elapsed(loads, self.net)
-            self.ledger.logical_clock += elapsed
-            self.ledger.phases.append(PhaseRecord(self._phase, elapsed))
-            self._phase_index += 1
-            self._phase = f"phase{self._phase_index}"
-            self._phase_start = len(records)
+                        ledger.messages[self._phase_start:])
+            elapsed = ledger.close_phase(self._phase,
+                                         phase_elapsed(loads, self.net))
+            self._phase = f"phase{len(ledger.phases)}"
+            self._phase_start = len(ledger.messages)
             return elapsed
 
     @contextmanager
@@ -428,10 +443,61 @@ class SimTransport:
         if seconds < 0:
             raise ValueError("compute time must be nonnegative")
         with self._lock:
-            self.ledger.logical_clock += seconds
-            self.ledger.phases.append(PhaseRecord(label, seconds))
-            self._phase_index += 1
-            return seconds
+            return self.ledger.close_phase(label, seconds)
+
+    def take(self, dst: NodeId, tag: Tag, src: NodeId,
+             iteration: int | None = None) -> Message:
+        """The message src queued for dst under tag in this iteration;
+        MissingSource at once if none was sent."""
+        try:
+            msg = self.recv(dst, tag=tag, src=src, timeout=0)
+        except Timeout as exc:
+            raise MissingSource(f"{dst} got no {tag.value} from {src} at "
+                                f"iteration {iteration}") from exc
+        if msg.iteration != iteration:
+            raise MissingSource(f"{src} delivered iteration {msg.iteration}, "
+                                f"expected {iteration}")
+        return msg
+
+    def run_phase(self, label: str, steps, iteration: int, value,
+                  deliver) -> None:
+        """Execute one plan phase: per step, each transfer t ships value(t)
+        as a float32 tensor (send() checks its size against the plan), then
+        each is taken in plan order and handed to deliver(t, tensor)."""
+        with self.phase(label):
+            for step in steps:
+                for t in step:
+                    a = np.ascontiguousarray(value(t), dtype=np.float32)
+                    self.send(Message(t.src, t.dst, t.tag, t.elements,
+                                      a.tobytes(), a.shape, iteration, t.op,
+                                      t.round))
+                for t in step:
+                    deliver(t, self.take(t.dst, t.tag, t.src,
+                                         iteration).tensor())
+
+
+def charge_plan(plan, iterations: int,
+                net: NetConfig | None = None) -> SimTransport:
+    """A counted run: charge `iterations` repeats of a plan's (label, body)
+    phases to a fresh ledger, with no Message, send or recv. A body is a
+    compute time in seconds or a list of steps of Transfers, recorded in
+    plan order at 4 bytes per element. Each phase's time is computed once,
+    then charged once per iteration, one iteration at a time."""
+    tr = SimTransport(net)
+    ledger, phases = tr.ledger, []
+    for label, body in plan:
+        rows = []
+        if isinstance(body, list):
+            rows = [(t.src, t.dst, t.tag, t.op, t.round,
+                     BYTES_PER_ELEMENT * t.elements)
+                    for step in body for t in step]
+            body = phase_elapsed([(r[0], r[1], r[5]) for r in rows], tr.net)
+        phases.append((label, rows, body))
+    for _ in range(iterations):
+        for label, rows, elapsed in phases:
+            ledger.record(label, len(ledger.phases), rows)
+            ledger.close_phase(label, elapsed)
+    return tr
 
 
 def run_node_threads(transport: SimTransport, tasks: dict[NodeId, "object"],

@@ -180,6 +180,22 @@ class TestBadRunInputs:
         assert "boundary 99 outside (0, 8)" in err
         assert out == ""
 
+    def test_compare_checks_the_cut_before_training(self, capsys,
+                                                    monkeypatch):
+        calls = []
+        train = ps_runtime.PsCluster.train
+
+        def counted_train(self, iterations):
+            calls.append(iterations)
+            return train(self, iterations)
+
+        monkeypatch.setattr(ps_runtime.PsCluster, "train", counted_train)
+        code, out, err = run_cli(["compare", "--model", "tiny_mlp", "--seed",
+                                  "1", "--iterations", "3", "--workers", "2",
+                                  "4"], capsys)
+        assert (code, calls, out) == (2, [], "")
+        assert "no pooling/flatten stage" in err
+
     @pytest.mark.parametrize("error", [NoFcLayer, NoConvBlock, BadBoundary,
                                        NotExecutable, MismatchedConfigs])
     def test_named_errors_are_config_errors(self, error):

@@ -122,6 +122,16 @@ class TestCounting:
             ModelSpec(name="x", batch_k=2, layers=spec.layers,
                       input_shape=spec.input_shape, params_total=1)
 
+    @pytest.mark.parametrize("count", ["params_conv",
+                                       "boundary_activations"])
+    def test_executable_spec_takes_no_profile_count(self, count):
+        spec = tiny_cnn()
+        with pytest.raises(ConfigError, match=count):
+            ModelSpec(name="x", batch_k=2, layers=spec.layers,
+                      input_shape=spec.input_shape, **{count: 5})
+        with pytest.raises(ConfigError, match=count):
+            dataclasses.replace(spec, **{count: 999})
+
     def test_alexnet_profile_counts(self):
         part = split(PROFILES["alexnet"])
         total = part.conv_params + part.fc_params

@@ -206,6 +206,51 @@ class TestModelMatchesSimulation:
                             **kw).train(2).transport
 
 
+class TestLabelSideband:
+    """Numeric layer-separated runs ship each CONV batch's labels, batch_k
+    elements, as a CONTROL transfer the closed form leaves out. They ride
+    the activations phase, whose busiest node is the FC worker serving the
+    most CONV workers, so at zero latency the numeric clock exceeds the
+    model by exactly that worker's label bytes * 8 / B per iteration
+    (ROADMAP item 8 keeps this bound instead of a label term)."""
+
+    @pytest.mark.parametrize("model,boundary", [("tiny_cnn", None),
+                                                ("tiny_mlp", 4)])
+    @pytest.mark.parametrize("n_conv,n_fc", [(1, 1), (3, 1), (4, 1), (5, 2),
+                                             (8, 3), (4, 4)])
+    @pytest.mark.parametrize("bandwidth,conv_time,fc_unit_time",
+                             [(1e6, 0.0, 0.0), (1e9, 0.013, 0.0021)])
+    def test_numeric_clock_is_model_plus_label_bytes(
+            self, model, boundary, n_conv, n_fc, bandwidth, conv_time,
+            fc_unit_time):
+        spec = tiny_cnn() if model == "tiny_cnn" else tiny_mlp()
+        c = PerfConstants(bandwidth=bandwidth, conv_time=conv_time,
+                          fc_unit_time=fc_unit_time)
+        cluster = StanzaCluster(spec, n_conv=n_conv, n_fc=n_fc,
+                                batch_fn=make_batch_fn(spec, 1), lr=0.01,
+                                conv_time=conv_time,
+                                fc_unit_time=fc_unit_time,
+                                net=NetConfig(bandwidth=bandwidth),
+                                boundary=boundary)
+        sim = cluster.train(2).transport.ledger.logical_clock / 2
+        busiest = -(-n_conv // n_fc)
+        labels = busiest * spec.batch_k * 4 * 8 / bandwidth
+        model = stanza_iter_time(split(spec, boundary), n_conv, n_fc, c)
+        assert rel_err(sim, model + labels) <= 1e-9
+        assert sim > model
+
+    def test_tiny_cnn_four_plus_one_at_one_megabit(self):
+        spec = tiny_cnn()
+        cluster = StanzaCluster(spec, n_conv=4, n_fc=1,
+                                batch_fn=make_batch_fn(spec, 1), lr=0.01,
+                                net=NetConfig(bandwidth=1e6))
+        sim = cluster.train(1).transport.ledger.logical_clock
+        model = stanza_iter_time(split(spec), 4, 1, PerfConstants(1e6))
+        assert rel_err(sim, 0.351744) <= 1e-12
+        assert rel_err(model, 0.351232) <= 1e-12
+        assert rel_err(sim - model, 64 * 8 / 1e6) <= 1e-9
+
+
 CONSTANT_SETS = [
     (10e9, 0.43, 0.001, 0.43),
     (1e9, 0.0, 0.0002, 0.0),

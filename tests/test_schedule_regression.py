@@ -25,7 +25,8 @@ from stanza.checkpointing import param_digest
 from stanza.model_partition import builtin_model, tiny_cnn, tiny_mlp
 from stanza.ps_runtime import PsCluster, ps_traffic
 from stanza.stanza_runtime import StanzaCluster, stanza_traffic
-from stanza.transport import NetConfig
+from stanza import transport
+from stanza.transport import NetConfig, SimTransport
 
 from trainers import LR, MU, make_batch_fn
 
@@ -128,6 +129,21 @@ def test_sequential_runs_never_touch_the_condition(monkeypatch):
         transports.append(cluster.train(2).transport)
     for tr in transports:
         assert tr.ledger.messages
+
+
+def test_counted_runs_never_touch_the_mailbox(monkeypatch, no_threads):
+    """Counted runs charge their plan to the ledger: no Message is built,
+    and nothing is sent or received."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("mailbox used by a counted run")
+    monkeypatch.setattr(SimTransport, "send", refuse)
+    monkeypatch.setattr(SimTransport, "recv", refuse)
+    monkeypatch.setattr(transport.Message, "__init__", refuse)
+    runs = [stanza_traffic(builtin_model("alexnet"), n_conv=127, n_fc=3,
+                           iterations=2, net=NET),
+            ps_traffic(builtin_model("vgg16"), n_workers=33, n_servers=3,
+                       iterations=2, net=NET)]
+    assert [len(tr.ledger.messages) for tr in runs] == [2 * 768, 2 * 198]
 
 
 def test_matrix_is_fully_pinned():

@@ -10,11 +10,10 @@ from stanza.checkpointing import param_digest, state_from_bytes
 from stanza.model_partition import (ConfigError, builtin_model, tiny_cnn,
                                     tiny_mlp)
 from stanza.ps_runtime import PsCluster
-from stanza.stanza_runtime import (MissingSource, StanzaCluster, plan_groups,
-                                   stanza_traffic)
+from stanza.stanza_runtime import StanzaCluster, plan_groups, stanza_traffic
 from stanza.tensor_core import CorruptCheckpoint, ShapeMismatch
-from stanza.transport import (ClusterShutDown, NetConfig, Role, SimTransport,
-                              Tag)
+from stanza.transport import (ClusterShutDown, MissingSource, NetConfig, Role,
+                              SimTransport, Tag)
 
 from trainers import (LR, MU, make_batch_fn, max_param_dev, reference_train)
 
@@ -214,10 +213,12 @@ class TestMissingSource:
                 send(tr, msg)
 
         monkeypatch.setattr(SimTransport, "send", lossy_send)
+        # counted runs send nothing, so the mailbox is a numeric run's
+        cluster = make_cluster(tiny_cnn(), 2, 1,
+                               net=NetConfig(default_timeout=60.0))
         start = time.monotonic()
         with pytest.raises(MissingSource):
-            stanza_traffic(tiny_cnn(), n_conv=2, n_fc=1,
-                           net=NetConfig(default_timeout=60.0))
+            cluster.train(1)
         assert time.monotonic() - start < 1.0
 
     def test_dropped_activations_fail_fast(self):
