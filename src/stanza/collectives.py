@@ -22,12 +22,16 @@ aligned binary tree sum, and the fold is a fixed function of the group.
 
 The schedule is written once, in _rounds: the transfers
 (src, dst, dst_first) of each surplus, doubling and return round. The
-runtimes' plans carry it as allreduce_steps, one step per round, and
-numeric runs fold each received value with fold. allreduce_group runs a
-whole group on the calling thread: each round sends all of its transfers,
-then delivers them in schedule order. allreduce_sum (float32 payloads) and
+runtimes' plans carry it as allreduce_steps, one step per round, and one
+executor runs it on float32 arrays: exchange hands the steps to
+SimTransport.run_phase, which sends each step's transfers and then delivers
+them in plan order, and folds each received value with fold.
+StanzaCluster's exchange phase and allreduce_group, one group on its own
+phase, both call it, so a transfer that never arrived raises
+transport.MissingSource at once. allreduce_sum (float32 payloads) and
 allreduce_counted (size-only messages) run one member's share of the same
-rounds, each member on its own thread. All give the same messages, ledger
+rounds, each member on its own thread; they stay only because the
+benchmark's tracer binds them (ROADMAP item 2). All give the same messages
 and bits.
 """
 
@@ -37,12 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import (NodeId, SimTransport, Tag, Timeout, Transfer,
+from .transport import (NodeId, SimTransport, Tag, Transfer,
                         payload_message)
-
-
-class MemberMissing(Timeout):
-    """A group member never produced its contribution."""
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,26 @@ def fold(value: np.ndarray, got: np.ndarray, dst_first: bool | None):
     return value + got if dst_first else got + value
 
 
-def _value(value):
-    """A member's contribution: an element count for a size-only run, else
-    a float32 array."""
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return np.ascontiguousarray(value, dtype=np.float32)
+def exchange(transport: SimTransport, label: str, steps, iteration: int,
+             acc: dict) -> None:
+    """Run allreduce plan steps as one phase (SimTransport.run_phase): each
+    transfer ships acc[src], and dst folds what it gets into acc[dst] in the
+    transfer's fold order."""
+    transport.run_phase(label, steps, iteration, lambda t: acc[t.src],
+                        lambda t, got: acc.__setitem__(
+                            t.dst, fold(acc[t.dst], got, t.dst_first)))
+
+
+def allreduce_group(transport: SimTransport, group: Group, values: dict, *,
+                    op: str = "allreduce") -> dict:
+    """Sum every member's float32 array across the group on the calling
+    thread, as one phase labelled `op` (exchange). Returns member -> summed
+    array, bit-identical to allreduce_sum."""
+    acc = {m: np.ascontiguousarray(values[m], dtype=np.float32)
+           for m in group.members}
+    steps = allreduce_steps(group, op, acc[group.members[0]].size)
+    exchange(transport, op, steps, 0, acc)
+    return {m: v.copy() for m, v in acc.items()}
 
 
 def _transfer(src: NodeId, dst: NodeId, value, op: str, rnd: int):
@@ -137,12 +151,8 @@ def _transfer(src: NodeId, dst: NodeId, value, op: str, rnd: int):
 def _deliver(transport: SimTransport, dst: NodeId, src: NodeId, value,
              dst_first: bool | None, timeout: float | None):
     """Receive src's transfer at dst and return dst's new value."""
-    try:
-        msg = transport.recv(dst, tag=Tag.ALLREDUCE_CHUNK, src=src,
-                             timeout=timeout)
-    except Timeout as exc:
-        raise MemberMissing(f"{dst} got no allreduce transfer from {src}: "
-                            f"{exc}") from exc
+    msg = transport.recv(dst, tag=Tag.ALLREDUCE_CHUNK, src=src,
+                         timeout=timeout)
     if isinstance(value, int):
         return value
     return fold(value, msg.tensor().reshape(value.shape), dst_first)
@@ -150,26 +160,6 @@ def _deliver(transport: SimTransport, dst: NodeId, src: NodeId, value,
 
 def _result(value):
     return value.copy() if isinstance(value, np.ndarray) else None
-
-
-def allreduce_group(transport: SimTransport, group: Group, values: dict, *,
-                    op: str = "allreduce") -> dict:
-    """Run the allreduce for every member of the group on the calling thread.
-
-    values maps each member to its float32 array, or to its element count
-    for a size-only run. Each round sends all of its transfers, then
-    delivers them in schedule order, so nothing waits: a transfer that
-    never arrived raises MemberMissing at once. Returns member -> summed
-    array (None on a size-only run), bit-identical to allreduce_sum.
-    """
-    acc = {member: _value(values[member]) for member in group.members}
-    for rnd, transfers in _rounds(group):
-        for src, dst, _ in transfers:
-            transport.send(_transfer(src, dst, acc[src], op, rnd))
-        for src, dst, dst_first in transfers:
-            acc[dst] = _deliver(transport, dst, src, acc[dst], dst_first,
-                                timeout=0)
-    return {member: _result(v) for member, v in acc.items()}
 
 
 def _allreduce_member(transport: SimTransport, group: Group, me: NodeId,

@@ -45,8 +45,8 @@ from .model_partition import (ConfigError, ModelSpec, NoConvBlock, NoFcLayer,
                               builtin_model, load_model_file, parse_kv_text,
                               split)
 from .perf_model import PerfConstants, best_split
-from .ps_runtime import PsCluster, ps_traffic
-from .stanza_runtime import StanzaCluster, stanza_traffic
+from .ps_runtime import PsCluster, check_ps_shape, ps_traffic
+from .stanza_runtime import StanzaCluster, check_stanza_shape, stanza_traffic
 from .tensor_core import (FullyConnected, OptimizerState, block_backward,
                           block_forward, seeded_init, sgd_step)
 from .transport import LedgerInvariant, NetConfig, Tag
@@ -119,8 +119,9 @@ class ExperimentConfig:
                               "apply")
         if self.epoch_samples is not None and self.epoch_samples < 1:
             raise ConfigError("epoch_samples must be at least 1")
-        if not self.latency >= 0:
-            raise ConfigError(f"latency must be nonnegative, got {self.latency}")
+        if not 0 <= self.latency < math.inf:
+            raise ConfigError("latency must be nonnegative and finite, got "
+                              f"{self.latency}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         OptimizerState(lr=self.lr, momentum=self.momentum)  # checks both
@@ -373,6 +374,22 @@ def _iterations_per_epoch(epoch_samples: int | None, global_batch: int) -> int:
     return per
 
 
+def _resolve_run(config: ExperimentConfig
+                 ) -> tuple[ModelSpec, int, int, int]:
+    """The run's model, (workers, coordinators) and iteration count, with
+    every check a run makes of its model and cluster shape done, so that a
+    configuration error raises before any training starts."""
+    spec = resolve_model(config.model, config.batch_k, config.boundary)
+    workers, coordinators = _split_counts(config, spec)
+    if config.mode == "ps":
+        check_ps_shape(workers, coordinators)
+    elif config.mode == "stanza":
+        split(spec, config.boundary)  # layer separation needs a cut
+        check_stanza_shape(workers, coordinators)
+    iterations = _iteration_count(config, workers * spec.batch_k)
+    return spec, workers, coordinators, iterations
+
+
 def _batch_source(config: ExperimentConfig, spec: ModelSpec, workers: int):
     if config.data == "gaussian":
         return gaussian_batches(spec, config.seed)
@@ -460,10 +477,8 @@ def _train_single(spec: ModelSpec, workers: int, iterations: int, batch_fn,
 
 def execute(config: ExperimentConfig):
     """Run one experiment. Returns (RunReport, final TrainState or None)."""
-    spec = resolve_model(config.model, config.batch_k, config.boundary)
-    workers, coordinators = _split_counts(config, spec)
+    spec, workers, coordinators, iterations = _resolve_run(config)
     global_batch = workers * spec.batch_k
-    iterations = _iteration_count(config, global_batch)
     net = NetConfig(bandwidth=config.bandwidth,
                     per_message_latency=config.latency)
 
@@ -598,27 +613,26 @@ def compare(ps_config: ExperimentConfig, stanza_config: ExperimentConfig,
         a, b = getattr(ps_config, knob), getattr(stanza_config, knob)
         if a != b:
             raise MismatchedConfigs(f"{knob} differs: {a!r} vs {b!r}")
-    # the layer-separated runs need a cut: a missing one stops all training
-    split(resolve_model(stanza_config.model, stanza_config.batch_k),
-          stanza_config.boundary)
-
     if worker_counts is None:
         pairs = [(ps_config, stanza_config)]
     else:
         pairs = [(dataclasses.replace(ps_config, workers=n, nodes=None),
                   dataclasses.replace(stanza_config, workers=n, nodes=None))
                  for n in worker_counts]
+    # every pair is checked before the first one trains
+    for cfg_ps, cfg_st in pairs:
+        _, workers_ps, servers, _ = _resolve_run(cfg_ps)
+        _, workers_st, fc_workers, _ = _resolve_run(cfg_st)
+        nodes_ps, nodes_st = workers_ps + servers, workers_st + fc_workers
+        if nodes_ps != nodes_st:
+            raise MismatchedConfigs(f"node budgets differ: {nodes_ps} for ps "
+                                    f"vs {nodes_st} for stanza")
 
     rows = []
     model = batch_k = iterations = None
     for cfg_ps, cfg_st in pairs:
         rep_ps, _ = execute(cfg_ps)
         rep_st, _ = execute(cfg_st)
-        nodes_ps = rep_ps.workers + rep_ps.coordinators
-        nodes_st = rep_st.workers + rep_st.coordinators
-        if nodes_ps != nodes_st:
-            raise MismatchedConfigs(f"node budgets differ: {nodes_ps} for ps "
-                                    f"vs {nodes_st} for stanza")
         speedup = rep_ps.logical_clock_seconds / rep_st.logical_clock_seconds
         if (rep_ps.fc_data_bytes_per_worker_iteration is None
                 or not rep_st.fc_data_bytes_per_worker_iteration):

@@ -21,6 +21,7 @@ separation, whenever shards and groups divide evenly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .model_partition import (ConfigError, ModelSpec, Partition,
@@ -51,11 +52,12 @@ class PerfConstants:
     ps_compute_time: float = 0.0
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < math.inf:
+            raise ConfigError("bandwidth must be positive and finite, got "
+                              f"{self.bandwidth}")
         for name in ("conv_time", "fc_unit_time", "ps_compute_time"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be nonnegative and finite")
 
 
 def v100_class_constants(bandwidth: float = 10e9) -> PerfConstants:

@@ -4,9 +4,10 @@ Every worker holds a full model replica. The servers shard the flat
 parameter vector, all tensors laid end to end in layer order, into
 equal_split(P, n_servers) contiguous element ranges, as key-range
 partitioning does. Each iteration the workers compute gradient sums over
-their local batches and push each server its range of the packed gradient;
-the servers aggregate in ascending worker order and apply one momentum-SGD
-step to their range, and the workers pull the updated ranges back. All
+their local batches and push each server its range of the packed gradient.
+Each server folds the pushes into its range's sum as they are delivered,
+in plan order (ascending worker), applies one momentum-SGD step to its
+range, and the workers pull the updated ranges back. All
 phases are bulk synchronous, so the ledger clock charges each phase at its
 slowest node.
 
@@ -140,16 +141,11 @@ class PsCluster:
             loss_sum += float(out.sum())
         return grads, loss_sum
 
-    def _update_phase(self, pushes) -> None:
+    def _update_phase(self, sums) -> None:
         with self.transport.phase("update"):
-            sums = []
-            for received in pushes:
-                acc = received[0].copy()
-                for g in received[1:]:
-                    acc += g
-                sums.append([acc])
-            sgd_step([[self._params[r]] for r in self._ranges], sums,
-                     self.n_workers * self.spec.batch_k, self._opt)
+            sgd_step([[self._params[r]] for r in self._ranges],
+                     [[s] for s in sums], self.n_workers * self.spec.batch_k,
+                     self._opt)
 
     def train(self, iterations: int) -> TrainResult:
         """Run `iterations` more iterations; may be called repeatedly."""
@@ -159,11 +155,15 @@ class PsCluster:
             it = self.iteration
             tr.advance_compute(plan["compute"], "compute")
             grads, loss_sum = self._local_gradients(it)
-            pushes = [[] for _ in self._ranges]
+            # each range's sum in delivery order; the first push is a
+            # read-only view of its message, so later ones add out of place
+            sums = [None] * len(self._ranges)
             tr.run_phase("push", plan["push"], it,
                          lambda t: grads[t.src][t.round],
-                         lambda t, got: pushes[t.round].append(got))
-            self._update_phase(pushes)
+                         lambda t, got: sums.__setitem__(
+                             t.round, got if sums[t.round] is None
+                             else sums[t.round] + got))
+            self._update_phase(sums)
             pulled = {w: [] for w in self.worker_ids}
             tr.run_phase("pull", plan["pull"], it,
                          lambda t: self._params[self._ranges[t.round]],

@@ -24,12 +24,13 @@ runs ship none.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import numpy as np
 
 from .checkpointing import (TrainResult, TrainState, start_state,
                             state_to_bytes)
-from .collectives import Group, allreduce_steps, fold
+from .collectives import Group, allreduce_steps, exchange
 from .model_partition import ConfigError, ModelSpec, Partition, split
 from .ps_runtime import equal_split
 from .tensor_core import (OptimizerState, block_backward, block_forward,
@@ -48,27 +49,15 @@ def check_stanza_shape(n_conv: int, n_fc: int) -> None:
                           f"({n_conv}) leaves some idle")
 
 
-def plan_groups(n_conv: int, n_fc: int) -> list[int]:
-    """Contiguous, near-equal assignment of CONV workers to FC workers.
-
-    Returns conv_to_fc: the FC worker index serving each CONV worker.
-    """
-    check_stanza_shape(n_conv, n_fc)
-    sizes = equal_split(n_conv, n_fc)
-    conv_to_fc = []
-    for j, size in enumerate(sizes):
-        conv_to_fc.extend([j] * size)
-    return conv_to_fc
-
-
 def served_by(n_conv: int, n_fc: int) -> dict[NodeId, tuple[NodeId, ...]]:
-    """The CONV workers each FC worker serves (plan_groups); in this order
-    the CONV workers are in index order too."""
-    conv_to_fc = plan_groups(n_conv, n_fc)
+    """The CONV workers each FC worker serves: contiguous, near-equal runs
+    of CONV indices (equal_split), so in this order the CONV workers are in
+    index order too."""
+    check_stanza_shape(n_conv, n_fc)
+    bounds = list(accumulate(equal_split(n_conv, n_fc), initial=0))
     return {NodeId(Role.FC_WORKER, j):
-            tuple(NodeId(Role.CONV_WORKER, i)
-                  for i, fc in enumerate(conv_to_fc) if fc == j)
-            for j in range(n_fc)}
+            tuple(NodeId(Role.CONV_WORKER, i) for i in range(lo, hi))
+            for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))}
 
 
 def stanza_plan(served: dict, partition: Partition, batch_k: int, *,
@@ -260,10 +249,7 @@ class StanzaCluster:
                 _, g = block_backward(conv_block, self.conv_params[c],
                                       conv_caches[c], boundary_in[c])
                 acc[c] = pack_vector(g)
-            tr.run_phase("exchange", plan["exchange"], it,
-                         lambda t: acc[t.src],
-                         lambda t, got: acc.__setitem__(
-                             t.dst, fold(acc[t.dst], got, t.dst_first)))
+            exchange(tr, "exchange", plan["exchange"], it, acc)
             self._update_phase(acc)
             losses.append(loss_sum / (self.n_conv * self.spec.batch_k))
             self.iteration += 1

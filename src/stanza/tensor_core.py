@@ -45,6 +45,7 @@ block_backward leaves it off by default.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -439,15 +440,16 @@ def seeded_init(layers: Sequence[LayerKind], seed: int) -> list[list[np.ndarray]
 class OptimizerState:
     """Momentum-SGD state for one parameter set (a list of layer param lists).
 
-    The one check of the learning rate and momentum; NaN fails both.
+    The one check of the learning rate and momentum; NaN fails both, and
+    an infinite learning rate fails too.
     """
     lr: float
     momentum: float = 0.9
     velocity: list[list[np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 

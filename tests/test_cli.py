@@ -125,8 +125,14 @@ class TestBadRunInputs:
         ("stanza", ["--conv-time", "-1"]),
         ("stanza", ["--bandwidth", "0"]),
         ("stanza", ["--bandwidth", "nan"]),
+        ("stanza", ["--bandwidth", "inf"]),
+        ("stanza", ["--bandwidth", "1e400"]),
+        ("stanza", ["--conv-time", "inf"]),
+        ("ps", ["--ps-compute-time", "inf"]),
         ("stanza", ["--latency", "-1"]),
+        ("stanza", ["--latency", "inf"]),
         ("single", ["--lr", "-1"]),
+        ("single", ["--lr", "inf"]),
         ("single", ["--model", "BAD_MODEL"]),
         ("stanza", ["--model", "BATCH_K_0"]),
         ("stanza", ["--model", "BOUNDARY_NEG"]),
@@ -136,8 +142,10 @@ class TestBadRunInputs:
         ("stanza", ["--model", "alexnet", "--workers", "4", "--seed", "-1"]),
         ("ps", ["--model", "tiny_mlp", "--workers", "4", "--boundary", "99"]),
         ("ps", ["--boundary", "3"]),
-    ], ids=["momentum", "conv-time", "bandwidth", "bandwidth-nan", "latency",
-            "lr", "model-file", "model-batch-k-0", "model-boundary-negative",
+    ], ids=["momentum", "conv-time", "bandwidth", "bandwidth-nan",
+            "bandwidth-inf", "bandwidth-1e400", "conv-time-inf",
+            "ps-compute-time-inf", "latency", "latency-inf", "lr", "lr-inf",
+            "model-file", "model-batch-k-0", "model-boundary-negative",
             "model-boundary-0", "single-nodes", "seed-negative",
             "counted-seed-negative", "ps-boundary-past-the-end",
             "ps-boundary-no-front-fc"])
@@ -180,21 +188,47 @@ class TestBadRunInputs:
         assert "boundary 99 outside (0, 8)" in err
         assert out == ""
 
-    def test_compare_checks_the_cut_before_training(self, capsys,
-                                                    monkeypatch):
+    @pytest.mark.parametrize("flags,error", [
+        (["--model", "tiny_mlp", "--iterations", "3", "--workers", "2", "4"],
+         "no pooling/flatten stage"),
+        (["--model", "tiny_cnn", "--iterations", "3", "--workers", "2",
+          "--servers", "2"],
+         "node budgets differ: 4 for ps vs 3 for stanza"),
+        (["--model", "tiny_cnn", "--iterations", "3", "--workers", "2", "4",
+          "--fc-workers", "3"],
+         "more FC workers (3) than CONV workers (2)"),
+        (["--model", "tiny_cnn", "--epochs", "1", "--epoch-samples", "40",
+          "--workers", "2", "16"],
+         "smaller than the global batch 64"),
+        (["--model", "alexnet", "--iterations", "1", "--bandwidth", "inf"],
+         "bandwidth must be positive and finite"),
+        (["--model", "alexnet", "--iterations", "1", "--bandwidth", "1e400"],
+         "bandwidth must be positive and finite"),
+        (["--model", "alexnet", "--iterations", "1", "--latency", "inf"],
+         "latency must be nonnegative and finite"),
+    ], ids=["no-cut", "node-budgets", "fc-workers-past-the-sweep",
+            "epoch-past-the-sweep", "bandwidth-inf", "bandwidth-1e400",
+            "latency-inf"])
+    def test_compare_checks_every_pair_before_training(self, capsys,
+                                                       monkeypatch, flags,
+                                                       error):
         calls = []
-        train = ps_runtime.PsCluster.train
 
-        def counted_train(self, iterations):
-            calls.append(iterations)
-            return train(self, iterations)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(ps_runtime.PsCluster, "train", counted_train)
-        code, out, err = run_cli(["compare", "--model", "tiny_mlp", "--seed",
-                                  "1", "--iterations", "3", "--workers", "2",
-                                  "4"], capsys)
+        for owner, name in [(ps_runtime.PsCluster, "train"),
+                            (stanza_runtime.StanzaCluster, "train"),
+                            (harness, "ps_traffic"),
+                            (harness, "stanza_traffic")]:
+            monkeypatch.setattr(owner, name,
+                                counted(name, getattr(owner, name)))
+        code, out, err = run_cli(["compare", "--seed", "1"] + flags, capsys)
         assert (code, calls, out) == (2, [], "")
-        assert "no pooling/flatten stage" in err
+        assert error in err
 
     @pytest.mark.parametrize("error", [NoFcLayer, NoConvBlock, BadBoundary,
                                        NotExecutable, MismatchedConfigs])
@@ -213,12 +247,14 @@ class TestBadPlanInputs:
         PLAN + ["--batch-k", "-4", "--mode", "ps"],
         PLAN + ["--batch-k", "0"],
         PLAN + ["--bandwidth", "0"],
+        PLAN + ["--bandwidth", "inf"],
         PLAN + ["--memory", "nan"],
         PLAN + ["--memory", "-1"],
         PLAN + ["--mode", "ps", "--memory", "2e7"],
         ["bench", "--model", "tiny_cnn", "--batch-k", "0", "--reps", "1"],
         ["bench", "--model", "tiny_cnn", "--seed", "-1", "--reps", "1"],
     ], ids=["plan-batch-k-negative", "plan-batch-k-0", "plan-bandwidth-0",
+            "plan-bandwidth-inf",
             "plan-memory-nan", "plan-memory-negative", "plan-ps-memory",
             "bench-batch-k-0", "bench-seed-negative"])
     def test_exits_2(self, capsys, argv):

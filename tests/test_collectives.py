@@ -5,13 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from stanza.collectives import (Group, MemberMissing, _rounds,
-                                allreduce_counted, allreduce_group,
+from stanza.collectives import (Group, _rounds, allreduce_counted,
+                                allreduce_group, allreduce_steps,
                                 allreduce_sum, round_count, surplus_protocol)
 from stanza.model_partition import builtin_model, tiny_cnn
 from stanza.stanza_runtime import StanzaCluster, stanza_traffic
-from stanza.transport import (NetConfig, NodeId, Role, SimTransport,
-                              run_node_threads)
+from stanza.transport import (MissingSource, NetConfig, NodeId, Role,
+                              SimTransport, charge_plan, run_node_threads)
 
 from oracles import allreduce_reference
 from trainers import LR, MU, make_batch_fn
@@ -185,17 +185,19 @@ class TestCountedAllreduce:
         assert len(tr_cnt.ledger.messages) == len(tr_num.ledger.messages)
 
 
-def ledger_csv(tr, path):
-    tr.ledger.export_csv(path)
-    return path.read_bytes()
+def rows(tr):
+    """The ledger's messages as sorted (src, dst, tag, op, round, bytes)."""
+    return sorted((m.src, m.dst, m.tag, m.op, m.round, m.payload_bytes)
+                  for m in tr.ledger.messages)
 
 
 class TestGroupAllreduce:
-    """The single-thread group driver against one thread per member."""
+    """The group driver, which runs the plan executor, against one thread
+    per member and against its own plan."""
 
     @pytest.mark.parametrize("data_seed", [0, 7])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 33])
-    def test_numeric_matches_threaded_members(self, n, data_seed, tmp_path):
+    def test_numeric_matches_threaded_members(self, n, data_seed):
         tr_thr, group, values, threaded = run_allreduce(
             n, shape=(3, 7), data_seed=data_seed)
         tr_seq, _ = make_cluster(n)
@@ -203,23 +205,20 @@ class TestGroupAllreduce:
         for m in group.members:
             assert seq[m].shape == threaded[m].shape
             assert seq[m].tobytes() == threaded[m].tobytes()
-        assert ledger_csv(tr_seq, tmp_path / "seq.csv") == \
-            ledger_csv(tr_thr, tmp_path / "thr.csv")
+        assert rows(tr_seq) == rows(tr_thr)
 
-    @pytest.mark.parametrize("elements", [0, 7])   # empty and odd sizes
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 33])
-    def test_counted_matches_threaded_members(self, n, elements, tmp_path):
-        tr_thr, group = make_cluster(n)
-        run_node_threads(tr_thr, {
-            m: (lambda m=m: allreduce_counted(tr_thr, group, m, elements,
-                                              op="ar"))
-            for m in group.members})
-        tr_seq, _ = make_cluster(n)
-        out = allreduce_group(tr_seq, group,
-                              dict.fromkeys(group.members, elements), op="ar")
-        assert all(v is None for v in out.values())
-        assert ledger_csv(tr_seq, tmp_path / "seq.csv") == \
-            ledger_csv(tr_thr, tmp_path / "thr.csv")
+    @pytest.mark.parametrize("elements", [0, 7, 1024])  # empty, odd, even
+    @pytest.mark.parametrize("n", range(1, 34))
+    def test_matches_its_plan(self, n, elements):
+        tr, group = make_cluster(n)
+        values = {m: np.ones(elements, dtype=np.float32)
+                  for m in group.members}
+        allreduce_group(tr, group, values, op="ar")
+        planned = charge_plan([("ar", allreduce_steps(group, "ar",
+                                                      elements))], 1)
+        assert tr.ledger.messages == planned.ledger.messages
+        assert tr.ledger.phases == planned.ledger.phases
+        assert tr.ledger.logical_clock == planned.ledger.logical_clock
 
     def test_missing_transfer_fails_fast(self):
         tr, group = make_cluster(4)
@@ -228,7 +227,7 @@ class TestGroupAllreduce:
                                and msg.round == 2 else send(msg))
         values = {m: np.ones(3, dtype=np.float32) for m in group.members}
         start = time.monotonic()
-        with pytest.raises(MemberMissing):
+        with pytest.raises(MissingSource):
             allreduce_group(tr, group, values)
         assert time.monotonic() - start < 1.0
 

@@ -10,7 +10,7 @@ from stanza.checkpointing import param_digest, state_from_bytes
 from stanza.model_partition import (ConfigError, builtin_model, tiny_cnn,
                                     tiny_mlp)
 from stanza.ps_runtime import PsCluster
-from stanza.stanza_runtime import StanzaCluster, plan_groups, stanza_traffic
+from stanza.stanza_runtime import StanzaCluster, served_by, stanza_traffic
 from stanza.tensor_core import CorruptCheckpoint, ShapeMismatch
 from stanza.transport import (ClusterShutDown, MissingSource, NetConfig, Role,
                               SimTransport, Tag)
@@ -24,18 +24,24 @@ def make_cluster(spec, n_conv, n_fc, data_seed=7, seed=3, **kw):
                          lr=LR, momentum=MU, seed=seed, **kw)
 
 
-class TestPlanGroups:
+def served_indices(n_conv, n_fc):
+    """served_by as FC index -> its CONV indices."""
+    return {f.index: [c.index for c in cs]
+            for f, cs in served_by(n_conv, n_fc).items()}
+
+
+class TestServedBy:
     def test_contiguous_near_equal(self):
-        assert plan_groups(4, 2) == [0, 0, 1, 1]
-        assert plan_groups(5, 2) == [0, 0, 0, 1, 1]
-        assert plan_groups(6, 1) == [0] * 6
-        assert plan_groups(3, 3) == [0, 1, 2]
+        assert served_indices(4, 2) == {0: [0, 1], 1: [2, 3]}
+        assert served_indices(5, 2) == {0: [0, 1, 2], 1: [3, 4]}
+        assert served_indices(6, 1) == {0: [0, 1, 2, 3, 4, 5]}
+        assert served_indices(3, 3) == {0: [0], 1: [1], 2: [2]}
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ConfigError):
-            plan_groups(2, 3)
+            served_by(2, 3)
         with pytest.raises(ConfigError):
-            plan_groups(0, 1)
+            served_by(0, 1)
 
 
 class TestTraining:
