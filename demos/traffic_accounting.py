@@ -34,9 +34,10 @@ def main():
     print(f"{spec.name}: {spec.params_total:,} parameters, "
           f"{part.fc_params / spec.params_total:.1%} of them FC, K={spec.batch_k}\n")
 
-    shared = dict(model="alexnet", seed=0, iterations=1, epoch_samples=4096)
-    ps_cfg = ExperimentConfig(mode="ps", workers=4, servers=1, **shared)
-    st_cfg = ExperimentConfig(mode="stanza", workers=4, fc_workers=1, **shared)
+    shared = dict(model="alexnet", seed=0, iterations=1, epoch_samples=4096,
+                  workers=4, coordinators=1)
+    ps_cfg = ExperimentConfig(mode="ps", **shared)
+    st_cfg = ExperimentConfig(mode="stanza", **shared)
 
     for title, cfg in (("parameter server", ps_cfg),
                        ("layer separated", st_cfg)):

@@ -26,8 +26,9 @@ def main():
                   data="separable", epoch_samples=128)
     runs = {
         "single": ExperimentConfig(mode="single", workers=4, **shared),
-        "ps": ExperimentConfig(mode="ps", workers=4, servers=2, **shared),
-        "stanza": ExperimentConfig(mode="stanza", workers=4, fc_workers=2,
+        "ps": ExperimentConfig(mode="ps", workers=4, coordinators=2,
+                               **shared),
+        "stanza": ExperimentConfig(mode="stanza", workers=4, coordinators=2,
                                    **shared),
     }
 

@@ -7,7 +7,8 @@ worker sweep, `plan` a node assignment from measured constants, and
 Each ExperimentConfig field is a `run` flag spelt with dashes (`batch_k` is
 `--batch-k`) and typed as the field, like its experiment-file key; flags
 override a `--config` file. `compare` takes harness.COMPARE_FIELDS, the
-fields both protocols share, the same way.
+fields both protocols share, and `--coordinators` the same way, and builds
+both protocols' configs from them.
 
 The STANZA_SEED environment variable, when set, overrides the seed from
 both config files and flags, so a whole scripted sweep can be re-rolled
@@ -41,7 +42,10 @@ _CONFIG_ERRORS = (ConfigError, FileNotFoundError)
 _FIELD_CHOICES = {"mode": _MODES, "data": _DATA}
 _FIELD_HELP = {"model": "builtin name or model file path",
                "nodes": "plan the split for this node budget instead of "
-                        "giving explicit counts"}
+                        "giving explicit counts",
+               "coordinators": "parameter servers in ps mode, FC workers in "
+                               "stanza mode (default 1)"}
+_COMPARE_FLAGS = COMPARE_FIELDS + ("coordinators",)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, fields) -> None:
@@ -112,12 +116,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             if getattr(args, required) is None:
                 raise ConfigError(f"--{required} is required without config "
                                   "files")
-        shared = _given(args, COMPARE_FIELDS)
+        shared = _given(args, _COMPARE_FLAGS)
         first = args.workers[0] if args.workers else 1
-        ps_cfg = ExperimentConfig(mode="ps", workers=first,
-                                  servers=args.servers, **shared)
-        st_cfg = ExperimentConfig(mode="stanza", workers=first,
-                                  fc_workers=args.fc_workers, **shared)
+        ps_cfg, st_cfg = (ExperimentConfig(mode=mode, workers=first, **shared)
+                          for mode in ("ps", "stanza"))
     report = compare(_env_seeded(ps_cfg), _env_seeded(st_cfg),
                      worker_counts=args.workers, out_dir=args.out,
                      stem=args.stem)
@@ -180,9 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run both protocols and tabulate ratios")
     p_cmp.add_argument("--config-ps", dest="config_ps")
     p_cmp.add_argument("--config-stanza", dest="config_stanza")
-    _add_config_flags(p_cmp, COMPARE_FIELDS)
-    p_cmp.add_argument("--servers", type=int, default=1)
-    p_cmp.add_argument("--fc-workers", type=int, dest="fc_workers", default=1)
+    _add_config_flags(p_cmp, _COMPARE_FLAGS)
     p_cmp.add_argument("--workers", type=int, nargs="+",
                        help="worker counts to sweep")
     p_cmp.add_argument("--out", help="directory for report files")

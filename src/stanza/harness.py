@@ -68,13 +68,16 @@ _DATA = ("gaussian", "separable")
 class ExperimentConfig:
     """One run, fully specified: what to train, where, and for how long.
 
-    Exactly one of `iterations` or `epochs` must be positive; epochs need
-    `epoch_samples` to fix the iteration count. Cluster shape comes either
-    from the explicit counts (workers plus servers / fc_workers) or from
-    `nodes`, which hands the split to the planner using the compute
-    constants below. `boundary` is the layer index to cut at for models
-    with no pooling stage in front of the FC stack; it is checked in every
-    mode, and a PS run, which needs no cut, uses it only for FC-Data.
+    Exactly one of `iterations` or `epochs` must be positive; epochs and
+    `separable` data need `epoch_samples` to fix the iteration count and
+    the set size. Cluster shape comes either from the explicit counts or
+    from `nodes`, which hands the split to the planner using the compute
+    constants below. The counts are `workers` and `coordinators`: the
+    parameter servers in ps mode, the FC workers in stanza mode. Each reads
+    as 1 when unset; single mode takes neither `coordinators` nor `nodes`.
+    `boundary` is the layer index to cut at for models with no pooling
+    stage in front of the FC stack; it is checked in every mode, and a PS
+    run, which needs no cut, uses it only for FC-Data.
     """
     mode: str
     model: str
@@ -83,8 +86,7 @@ class ExperimentConfig:
     epochs: int = 0
     batch_k: int | None = None
     workers: int | None = None
-    servers: int = 1
-    fc_workers: int = 1
+    coordinators: int | None = None
     nodes: int | None = None
     bandwidth: float = 10e9
     latency: float = 0.0
@@ -108,17 +110,20 @@ class ExperimentConfig:
             raise ConfigError("iterations and epochs must be nonnegative")
         if (self.iterations > 0) == (self.epochs > 0):
             raise ConfigError("give exactly one of iterations or epochs")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError("workers must be at least 1")
-        if self.servers < 1 or self.fc_workers < 1:
-            raise ConfigError("servers and fc_workers must be at least 1")
-        if self.nodes is not None and self.workers is not None:
-            raise ConfigError("give nodes or explicit worker counts, not both")
-        if self.nodes is not None and self.mode == "single":
-            raise ConfigError("single mode runs on one node; nodes does not "
-                              "apply")
+        counts = (self.workers, self.coordinators)
+        if any(n is not None and n < 1 for n in counts):
+            raise ConfigError("workers and coordinators must be at least 1")
+        if self.nodes is not None and counts != (None, None):
+            raise ConfigError("give nodes or explicit counts, not both")
+        if self.mode == "single" and (self.nodes is not None
+                                      or self.coordinators is not None):
+            raise ConfigError("single mode runs on one node; nodes and "
+                              "coordinators do not apply")
         if self.epoch_samples is not None and self.epoch_samples < 1:
             raise ConfigError("epoch_samples must be at least 1")
+        if self.data == "separable" and self.epoch_samples is None:
+            raise ConfigError("separable data needs epoch_samples to size "
+                              "the set")
         if not 0 <= self.latency < math.inf:
             raise ConfigError("latency must be nonnegative and finite, got "
                               f"{self.latency}")
@@ -352,9 +357,7 @@ def _split_counts(config: ExperimentConfig, spec: ModelSpec) -> tuple[int, int]:
     workers = config.workers if config.workers is not None else 1
     if config.mode == "single":
         return workers, 0
-    if config.mode == "ps":
-        return workers, config.servers
-    return workers, config.fc_workers
+    return workers, config.coordinators or 1
 
 
 def _iteration_count(config: ExperimentConfig, global_batch: int) -> int:
@@ -393,8 +396,6 @@ def _resolve_run(config: ExperimentConfig
 def _batch_source(config: ExperimentConfig, spec: ModelSpec, workers: int):
     if config.data == "gaussian":
         return gaussian_batches(spec, config.seed)
-    if config.epoch_samples is None:
-        raise ConfigError("separable data needs epoch_samples to size the set")
     x, y = separable_dataset(spec, config.epoch_samples, config.seed)
     return dataset_batches(x, y, spec.batch_k, workers)
 
@@ -588,7 +589,7 @@ def run(config: ExperimentConfig) -> RunReport:
 
 
 # ExperimentConfig fields both protocols' configs must share; the compare
-# command takes exactly these as flags
+# command takes these as flags, and coordinators, which may differ in files
 COMPARE_FIELDS = ("model", "seed", "iterations", "epochs", "batch_k",
                   "bandwidth", "latency", "epoch_samples", "boundary", "data")
 

@@ -95,10 +95,11 @@ class PsCluster:
         self.server_ids = [NodeId(Role.PS_SERVER, i) for i in range(n_servers)]
         self.transport.register_all(self.worker_ids + self.server_ids)
 
-        self.worker_params = {
-            w: [[t.copy() for t in layer] for layer in start.params]
-            for w in self.worker_ids
-        }
+        # each worker's flat replica, filled in place by the pull; layer views
+        self._replicas = {w: pack_vector(start.params)
+                          for w in self.worker_ids}
+        self.worker_params = {w: unpack_vector(v, start.params)
+                              for w, v in self._replicas.items()}
         # the servers' flat parameter and velocity vectors; sgd_step sees
         # each live server's range as a layer of one tensor
         self._params = pack_vector(start.params)
@@ -164,13 +165,10 @@ class PsCluster:
                              t.round, got if sums[t.round] is None
                              else sums[t.round] + got))
             self._update_phase(sums)
-            pulled = {w: [] for w in self.worker_ids}
             tr.run_phase("pull", plan["pull"], it,
                          lambda t: self._params[self._ranges[t.round]],
-                         lambda t, got: pulled[t.dst].append(got))
-            for w, ranges in pulled.items():
-                self.worker_params[w] = unpack_vector(pack_vector([ranges]),
-                                                      self.worker_params[w])
+                         lambda t, got: self._replicas[t.dst].__setitem__(
+                             self._ranges[t.round], got))
             losses.append(loss_sum / (self.n_workers * self.spec.batch_k))
             self.iteration += 1
         return TrainResult(losses=losses, state=self.state(),

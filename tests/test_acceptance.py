@@ -117,9 +117,10 @@ def test_reference_iteration_time_reproduced():
 def test_traffic_metrics():
     """Per-epoch PS bytes are size-invariant and dwarf the layer-split runs."""
     t0 = time.perf_counter()
-    shared = dict(model="alexnet", seed=0, iterations=1, epoch_samples=1024)
-    ps_cfg = ExperimentConfig(mode="ps", workers=2, servers=1, **shared)
-    st_cfg = ExperimentConfig(mode="stanza", workers=2, fc_workers=1, **shared)
+    shared = dict(model="alexnet", seed=0, iterations=1, epoch_samples=1024,
+                  workers=2, coordinators=1)
+    ps_cfg = ExperimentConfig(mode="ps", **shared)
+    st_cfg = ExperimentConfig(mode="stanza", **shared)
 
     per_epoch = set()
     for n in (2, 4, 8):

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -28,6 +29,25 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def training_calls(monkeypatch):
+    """The names of the training entry points called, numeric or counted."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in [(ps_runtime.PsCluster, "train"),
+                        (stanza_runtime.StanzaCluster, "train"),
+                        (harness, "ps_traffic"),
+                        (harness, "stanza_traffic")]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
 class TestRunCommand:
     def test_inline_flags(self, capsys):
         code, out, _ = run_cli(["run", "--mode", "single", "--model",
@@ -40,11 +60,32 @@ class TestRunCommand:
     def test_config_file_with_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.experiment"
         cfg.write_text("mode stanza\nmodel tiny_cnn\nseed 5\niterations 2\n"
-                       "workers 2\nfc_workers 1\n")
+                       "workers 2\ncoordinators 1\n")
         code, out, _ = run_cli(["run", "--config", str(cfg),
                                 "--workers", "3"], capsys)
         assert code == 0
         assert "3+1 nodes" in out
+
+    @pytest.mark.parametrize("key", ["servers", "fc_workers"])
+    def test_old_count_keys_are_unknown(self, tmp_path, capsys, key):
+        """One `coordinators` key counts servers and FC workers alike."""
+        cfg = tmp_path / "exp.experiment"
+        cfg.write_text("mode stanza\nmodel tiny_cnn\nseed 5\niterations 2\n"
+                       f"workers 2\n{key} 1\n")
+        code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert f"unknown experiment key {key!r}" in err
+
+    def test_ps_coordinators_are_servers(self, capsys):
+        """Pinned to the output the old `--servers 2` flag gave."""
+        code, out, _ = run_cli(["run", "--mode", "ps", "--model", "tiny_cnn",
+                                "--seed", "7", "--iterations", "50",
+                                "--workers", "4", "--coordinators", "2"],
+                               capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d156ece8bfef3057ecd652ac71e2b8dc344a6dbaf15159fb2978300f77b2d75a"
+        ), out
 
     def test_writes_reports(self, tmp_path, capsys):
         code, out, _ = run_cli(["run", "--mode", "single", "--model",
@@ -138,6 +179,9 @@ class TestBadRunInputs:
         ("stanza", ["--model", "BOUNDARY_NEG"]),
         ("ps", ["--model", "BOUNDARY_0"]),
         ("single", ["--nodes", "9"]),
+        ("single", ["--coordinators", "1"]),
+        ("ps", ["--nodes", "5", "--coordinators", "1"]),
+        ("stanza", ["--coordinators", "0"]),
         ("single", ["--seed", "-1"]),
         ("stanza", ["--model", "alexnet", "--workers", "4", "--seed", "-1"]),
         ("ps", ["--model", "tiny_mlp", "--workers", "4", "--boundary", "99"]),
@@ -146,7 +190,8 @@ class TestBadRunInputs:
             "bandwidth-inf", "bandwidth-1e400", "conv-time-inf",
             "ps-compute-time-inf", "latency", "latency-inf", "lr", "lr-inf",
             "model-file", "model-batch-k-0", "model-boundary-negative",
-            "model-boundary-0", "single-nodes", "seed-negative",
+            "model-boundary-0", "single-nodes", "single-coordinators",
+            "nodes-and-coordinators", "coordinators-0", "seed-negative",
             "counted-seed-negative", "ps-boundary-past-the-end",
             "ps-boundary-no-front-fc"])
     def test_exits_2(self, tmp_path, capsys, mode, flags):
@@ -191,11 +236,8 @@ class TestBadRunInputs:
     @pytest.mark.parametrize("flags,error", [
         (["--model", "tiny_mlp", "--iterations", "3", "--workers", "2", "4"],
          "no pooling/flatten stage"),
-        (["--model", "tiny_cnn", "--iterations", "3", "--workers", "2",
-          "--servers", "2"],
-         "node budgets differ: 4 for ps vs 3 for stanza"),
         (["--model", "tiny_cnn", "--iterations", "3", "--workers", "2", "4",
-          "--fc-workers", "3"],
+          "--coordinators", "3"],
          "more FC workers (3) than CONV workers (2)"),
         (["--model", "tiny_cnn", "--epochs", "1", "--epoch-samples", "40",
           "--workers", "2", "16"],
@@ -206,29 +248,28 @@ class TestBadRunInputs:
          "bandwidth must be positive and finite"),
         (["--model", "alexnet", "--iterations", "1", "--latency", "inf"],
          "latency must be nonnegative and finite"),
-    ], ids=["no-cut", "node-budgets", "fc-workers-past-the-sweep",
+    ], ids=["no-cut", "fc-workers-past-the-sweep",
             "epoch-past-the-sweep", "bandwidth-inf", "bandwidth-1e400",
             "latency-inf"])
     def test_compare_checks_every_pair_before_training(self, capsys,
-                                                       monkeypatch, flags,
+                                                       training_calls, flags,
                                                        error):
-        calls = []
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for owner, name in [(ps_runtime.PsCluster, "train"),
-                            (stanza_runtime.StanzaCluster, "train"),
-                            (harness, "ps_traffic"),
-                            (harness, "stanza_traffic")]:
-            monkeypatch.setattr(owner, name,
-                                counted(name, getattr(owner, name)))
         code, out, err = run_cli(["compare", "--seed", "1"] + flags, capsys)
-        assert (code, calls, out) == (2, [], "")
+        assert (code, training_calls, out) == (2, [], "")
         assert error in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mode", "ps"],
+        ["run", "--mode", "stanza"],
+        ["compare"],
+    ], ids=["run-ps", "run-stanza", "compare"])
+    def test_separable_needs_epoch_samples_on_counted_runs(
+            self, capsys, training_calls, argv):
+        code, out, err = run_cli(argv + ["--model", "alexnet", "--seed", "1",
+                                         "--iterations", "1",
+                                         "--data", "separable"], capsys)
+        assert (code, training_calls, out) == (2, [], "")
+        assert "separable data needs epoch_samples" in err
 
     @pytest.mark.parametrize("error", [NoFcLayer, NoConvBlock, BadBoundary,
                                        NotExecutable, MismatchedConfigs])
@@ -323,8 +364,7 @@ class TestFlagSchema:
                      "--epoch-samples": ("epoch_samples", int),
                      "--boundary": ("boundary", int),
                      "--data": ("data", str),
-                     "--servers": ("servers", int),
-                     "--fc-workers": ("fc_workers", int),
+                     "--coordinators": ("coordinators", int),
                      "--workers": ("workers", int),
                      "--out": ("out", None), "--stem": ("stem", None)}),
         ("plan", {"--model": ("model", None), "--nodes": ("nodes", int),
@@ -356,15 +396,46 @@ class TestCompareCommand:
             assert (tmp_path / f"compare{suffix}").exists()
 
     def test_config_files(self, tmp_path, capsys):
-        shared = "model tiny_cnn\nseed 5\niterations 2\nworkers 2\n"
+        """Two files may split one budget unequally: 5+1 PS against 4+2
+        stanza, pinned to the output the old `servers`/`fc_workers` keys
+        gave."""
+        shared = "model alexnet\nseed 1\niterations 1\n"
         ps = tmp_path / "ps.experiment"
         st = tmp_path / "st.experiment"
-        ps.write_text(f"mode ps\n{shared}servers 1\n")
-        st.write_text(f"mode stanza\n{shared}fc_workers 1\n")
+        ps.write_text(f"mode ps\n{shared}workers 5\ncoordinators 1\n")
+        st.write_text(f"mode stanza\n{shared}workers 4\ncoordinators 2\n")
         code, out, _ = run_cli(["compare", "--config-ps", str(ps),
                                 "--config-stanza", str(st)], capsys)
         assert code == 0
-        assert "tiny_cnn" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "faf85fa9d5edb432ffee1fa2111e3eea36ff6b6760893f0960d45985d413f03d"
+        ), out
+
+    def test_config_files_with_unequal_budgets(self, tmp_path, capsys,
+                                               training_calls):
+        shared = "model tiny_cnn\nseed 1\niterations 3\nworkers 2\n"
+        ps = tmp_path / "ps.experiment"
+        st = tmp_path / "st.experiment"
+        ps.write_text(f"mode ps\n{shared}coordinators 2\n")
+        st.write_text(f"mode stanza\n{shared}")
+        code, out, err = run_cli(["compare", "--config-ps", str(ps),
+                                  "--config-stanza", str(st)], capsys)
+        assert (code, training_calls, out) == (2, [], "")
+        assert "node budgets differ: 4 for ps vs 3 for stanza" in err
+
+    def test_one_coordinator_flag_for_both_sides(self, tmp_path, capsys):
+        """`--coordinators` gives the PS servers and the FC workers alike."""
+        code, _, _ = run_cli(["compare", "--model", "alexnet", "--seed", "1",
+                              "--iterations", "1", "--workers", "4", "8",
+                              "--coordinators", "2", "--out", str(tmp_path)],
+                             capsys)
+        assert code == 0
+        shared = dict(model="alexnet", seed=1, iterations=1, workers=4,
+                      coordinators=2)
+        want = harness.compare(ExperimentConfig(mode="ps", **shared),
+                               ExperimentConfig(mode="stanza", **shared),
+                               worker_counts=[4, 8])
+        assert (tmp_path / "compare.json").read_text() == want.to_json()
 
     def test_one_config_file_is_an_error(self, tmp_path, capsys):
         ps = tmp_path / "ps.experiment"

@@ -1,5 +1,5 @@
-"""Each demo's stdout, and that of README's profile commands, pinned by
-sha256, so a line moves only on purpose.
+"""Each demo's stdout, and that of README's commands, pinned by sha256, so
+a line moves only on purpose.
 
 The demos print losses, byte counts and simulated clocks from fixed seeds;
 every number is deterministic. When a pin moves, rerun the demo or command
@@ -39,9 +39,13 @@ def test_stdout_pinned(demo, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[demo], out
 
 
-# README's compare and plan commands on profile models, run in process. plan
-# keeps its default constants: bench's depend on host timing.
+# README's quick-start run, and its compare and plan commands on profile
+# models, run in process. plan keeps its default constants: bench's depend on
+# host timing.
 COMMANDS = {
+    "run --mode stanza --model tiny_cnn --seed 7 --iterations 50 --workers 4 "
+    "--coordinators 2":
+        "dfdf291a606508cd4748d0c31893c9f592c2beab5a66e5bc47c8b8d91366d795",
     "compare --model alexnet --seed 1 --iterations 1 --epoch-samples 4096 "
     "--workers 2 4 8":
         "2c6c99e68b95093a7ce5787da2edbeb2eed05586fd4f7121b6e743b23e2ba193",

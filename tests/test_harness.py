@@ -54,11 +54,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             quick("ps", workers=0)
         with pytest.raises(ConfigError):
-            quick("ps", servers=0)
+            quick("ps", coordinators=0)
 
     def test_nodes_and_workers_exclusive(self):
         with pytest.raises(ConfigError):
             quick("stanza", nodes=4, workers=2)
+
+    def test_coordinators_read_as_one(self):
+        for mode in ("ps", "stanza"):
+            report, _ = execute(quick(mode, model="alexnet", iterations=1,
+                                      workers=2))
+            assert (report.workers, report.coordinators) == (2, 1)
 
 
 class TestConfigParsing:
@@ -71,7 +77,7 @@ class TestConfigParsing:
             "seed 11\n"
             "iterations 4\n"
             "workers 3\n"
-            "fc_workers 1\n"
+            "coordinators 1\n"
             "bandwidth 1e9\n"
             "lr 0.01\n")
 
@@ -79,7 +85,7 @@ class TestConfigParsing:
         cfg = parse_experiment_text(self.TEXT)
         assert cfg.label == "nightly"
         assert (cfg.mode, cfg.model, cfg.seed) == ("stanza", "tiny_cnn", 11)
-        assert (cfg.workers, cfg.fc_workers) == (3, 1)
+        assert (cfg.workers, cfg.coordinators) == (3, 1)
         assert cfg.bandwidth == 1e9 and cfg.lr == 0.01
 
     def test_missing_required_key(self):
@@ -222,26 +228,26 @@ class TestExecuteNumeric:
     """Distributed modes reproduce single-node training."""
 
     def test_stanza_matches_single(self):
-        rep_d, state_d = execute(quick("stanza", workers=4, fc_workers=2,
+        rep_d, state_d = execute(quick("stanza", workers=4, coordinators=2,
                                        iterations=6))
         rep_s, state_s = execute(quick("single", workers=4, iterations=6))
         assert max_param_dev(state_d.params, state_s.params) <= 1e-5
         assert abs(rep_d.final_loss - rep_s.final_loss) <= 1e-5
 
     def test_ps_matches_single(self):
-        rep_d, state_d = execute(quick("ps", workers=3, servers=2,
+        rep_d, state_d = execute(quick("ps", workers=3, coordinators=2,
                                        iterations=6))
         rep_s, state_s = execute(quick("single", workers=3, iterations=6))
         assert max_param_dev(state_d.params, state_s.params) <= 1e-5
 
     def test_stanza_fc_data_is_boundary_round_trip(self):
-        report, _ = execute(quick("stanza", workers=4, fc_workers=2))
+        report, _ = execute(quick("stanza", workers=4, coordinators=2))
         boundary = 256
         assert report.fc_data_bytes_per_worker_iteration == \
             2 * boundary * TINY.batch_k * 4
 
     def test_report_shape_fields(self):
-        report, _ = execute(quick("ps", workers=3, servers=2))
+        report, _ = execute(quick("ps", workers=3, coordinators=2))
         assert (report.workers, report.coordinators) == (3, 2)
         assert report.global_batch == 3 * TINY.batch_k
         assert report.counted is False
@@ -251,8 +257,8 @@ class TestExecuteNumeric:
         assert report.param_digest is not None
 
     def test_latency_charged(self):
-        slow = quick("ps", workers=2, servers=1, latency=1e-3)
-        fast = quick("ps", workers=2, servers=1)
+        slow = quick("ps", workers=2, coordinators=1, latency=1e-3)
+        fast = quick("ps", workers=2, coordinators=1)
         rep_slow, _ = execute(slow)
         rep_fast, _ = execute(fast)
         assert rep_slow.logical_clock_seconds > rep_fast.logical_clock_seconds
@@ -264,7 +270,7 @@ class TestExecuteCounted:
     def test_ps_iteration_clock(self):
         report, state = execute(ExperimentConfig(
             mode="ps", model="alexnet", seed=0, iterations=2,
-            workers=4, servers=1))
+            workers=4, coordinators=1))
         assert state is None
         assert report.counted is True
         assert report.losses is None and report.param_digest is None
@@ -274,13 +280,13 @@ class TestExecuteCounted:
     def test_stanza_fc_data_attribution(self):
         report, _ = execute(ExperimentConfig(
             mode="stanza", model="alexnet", seed=0, iterations=2,
-            workers=8, fc_workers=1))
+            workers=8, coordinators=1))
         assert report.fc_data_bytes_per_worker_iteration == 2 * 9216 * 128 * 4
 
     def test_ps_fc_data_attribution(self):
         report, _ = execute(ExperimentConfig(
             mode="ps", model="alexnet", seed=0, iterations=1,
-            workers=4, servers=1))
+            workers=4, coordinators=1))
         fc_params = 61100840 - 2469696
         assert report.fc_data_bytes_per_worker_iteration == 2 * fc_params * 4
 
@@ -299,7 +305,7 @@ class TestExecuteCounted:
     def test_epoch_accounting(self):
         report, _ = execute(ExperimentConfig(
             mode="ps", model="alexnet", seed=0, epochs=2, epoch_samples=1024,
-            workers=4, servers=1))
+            workers=4, coordinators=1))
         assert report.iterations == 2 * (1024 // (4 * 128))
         assert report.total_data_bytes_per_epoch == \
             report.total_wire_bytes // 2
@@ -317,7 +323,7 @@ class TestReportFiles:
     """Reruns serialize byte-identically; files land where asked."""
 
     def test_json_and_csv_stable_across_reruns(self):
-        cfg = quick("stanza", workers=2, fc_workers=1)
+        cfg = quick("stanza", workers=2, coordinators=1)
         a, _ = execute(cfg)
         b, _ = execute(cfg)
         assert a == b
@@ -326,7 +332,7 @@ class TestReportFiles:
 
     def test_counted_reruns_identical(self):
         cfg = ExperimentConfig(mode="ps", model="alexnet", seed=1,
-                               iterations=2, workers=2, servers=1)
+                               iterations=2, workers=2, coordinators=1)
         a, _ = execute(cfg)
         b, _ = execute(cfg)
         assert a.to_json() == b.to_json()
@@ -353,10 +359,10 @@ class TestCompare:
     @staticmethod
     def pair(**kw):
         shared = dict(model="alexnet", seed=3, iterations=1,
-                      epoch_samples=128 * 8 * 4)
+                      epoch_samples=128 * 8 * 4, workers=2, coordinators=1)
         shared.update(kw)
-        ps = ExperimentConfig(mode="ps", workers=2, servers=1, **shared)
-        st = ExperimentConfig(mode="stanza", workers=2, fc_workers=1, **shared)
+        ps = ExperimentConfig(mode="ps", **shared)
+        st = ExperimentConfig(mode="stanza", **shared)
         return ps, st
 
     def test_speedup_is_exact_clock_ratio(self):
@@ -400,7 +406,7 @@ class TestCompare:
     def test_rejects_unequal_node_budgets(self):
         ps, st = self.pair()
         with pytest.raises(MismatchedConfigs):
-            compare(dataclasses.replace(ps, servers=2), st,
+            compare(dataclasses.replace(ps, coordinators=2), st,
                     worker_counts=[2])
 
     def test_writes_three_file_formats(self, tmp_path):
@@ -414,9 +420,10 @@ class TestCompare:
         assert len(dat.splitlines()) == 2
 
     def test_numeric_models_compare_too(self):
-        shared = dict(model="tiny_cnn", seed=5, iterations=2)
-        ps = ExperimentConfig(mode="ps", workers=2, servers=1, **shared)
-        st = ExperimentConfig(mode="stanza", workers=2, fc_workers=1, **shared)
+        shared = dict(model="tiny_cnn", seed=5, iterations=2, workers=2,
+                      coordinators=1)
+        ps = ExperimentConfig(mode="ps", **shared)
+        st = ExperimentConfig(mode="stanza", **shared)
         report = compare(ps, st)
         (row,) = report.rows
         assert row.speedup > 0
