@@ -5,14 +5,13 @@ worker sweep, `plan` a node assignment from measured constants, and
 `bench` the compute constants on an executable model.
 
 Each ExperimentConfig field is a `run` flag spelt with dashes (`batch_k` is
-`--batch-k`) and typed as the field, like its experiment-file key; flags
-override a `--config` file. `compare` takes harness.COMPARE_FIELDS, the
-fields both protocols share, and `--coordinators` the same way, and builds
-both protocols' configs from them.
+`--batch-k`) and typed as the field, like its experiment-file key. `compare`
+takes harness.COMPARE_FIELDS, the fields both protocols share, and
+`--coordinators` the same way, for both protocols' configs.
 
-The STANZA_SEED environment variable, when set, overrides the seed from
-both config files and flags, so a whole scripted sweep can be re-rolled
-without editing anything.
+`_config` builds each config once from layers, each over the last: a file's
+keys (or `compare`'s fixed mode), the given flags, then STANZA_SEED, which
+re-rolls a scripted sweep without edits. Merged values are checked once.
 
 Exit codes: 0 on success, 2 for configuration errors (unparsable flags or
 any ConfigError), 3 when no feasible node assignment exists, 4 when
@@ -32,7 +31,8 @@ from pathlib import Path
 
 from .harness import (_DATA, _MODES, COMPARE_FIELDS, CONFIG_TYPES,
                       ExperimentConfig, NonFinite, bench_constants, compare,
-                      load_experiment_file, resolve_model, run)
+                      experiment_config, load_experiment_file, resolve_model,
+                      run)
 from .model_partition import ConfigError
 from .perf_model import (Infeasible, PerfConstants, best_split,
                          format_constants_text, load_constants_file)
@@ -62,34 +62,22 @@ def _given(args: argparse.Namespace, fields) -> dict:
     return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = _given(args, CONFIG_TYPES)
-    if args.config is not None:
-        config = dataclasses.replace(load_experiment_file(args.config),
-                                     **overrides)
-    else:
-        for required in ("mode", "model", "seed"):
-            if required not in overrides:
-                raise ConfigError(f"--{required} is required without --config")
-        config = ExperimentConfig(**overrides)
-    return _env_seeded(config)
-
-
-def _env_seeded(config: ExperimentConfig) -> ExperimentConfig:
-    """config with its seed replaced by STANZA_SEED, when that is set."""
+def _config(path, flags: dict, base: dict) -> ExperimentConfig:
+    """The config from the experiment file at `path` (`base` when there is
+    none), then the given flags, then STANZA_SEED, each over the last."""
+    layers = [base if path is None else load_experiment_file(path), flags]
     env_seed = os.environ.get("STANZA_SEED")
-    if env_seed is None:
-        return config
-    try:
-        seed = int(env_seed)
-    except ValueError:
-        raise ConfigError(f"STANZA_SEED={env_seed!r} is not an integer"
-                          ) from None
-    return dataclasses.replace(config, seed=seed)
+    if env_seed is not None:
+        try:
+            layers.append({"seed": int(env_seed)})
+        except ValueError:
+            raise ConfigError(f"STANZA_SEED={env_seed!r} is not an integer"
+                              ) from None
+    return experiment_config(*layers)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = _config(args.config, _given(args, CONFIG_TYPES), {})
     report = run(config)
     print(f"{report.mode} {report.model}: {report.iterations} iterations on "
           f"{report.workers}+{report.coordinators} nodes "
@@ -106,21 +94,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    if args.config_ps is not None or args.config_stanza is not None:
-        if args.config_ps is None or args.config_stanza is None:
-            raise ConfigError("give both --config-ps and --config-stanza")
-        ps_cfg = load_experiment_file(args.config_ps)
-        st_cfg = load_experiment_file(args.config_stanza)
-    else:
-        for required in ("model", "seed"):
-            if getattr(args, required) is None:
-                raise ConfigError(f"--{required} is required without config "
-                                  "files")
-        shared = _given(args, _COMPARE_FLAGS)
-        first = args.workers[0] if args.workers else 1
-        ps_cfg, st_cfg = (ExperimentConfig(mode=mode, workers=first, **shared)
-                          for mode in ("ps", "stanza"))
-    report = compare(_env_seeded(ps_cfg), _env_seeded(st_cfg),
+    if (args.config_ps is None) != (args.config_stanza is None):
+        raise ConfigError("give both --config-ps and --config-stanza")
+    shared = _given(args, _COMPARE_FLAGS)
+    report = compare(_config(args.config_ps, shared, {"mode": "ps"}),
+                     _config(args.config_stanza, shared, {"mode": "stanza"}),
                      worker_counts=args.workers, out_dir=args.out,
                      stem=args.stem)
     print(f"{report.model}, batch {report.batch_k}, "

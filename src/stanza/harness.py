@@ -78,6 +78,9 @@ class ExperimentConfig:
     `boundary` is the layer index to cut at for models with no pooling
     stage in front of the FC stack; it is checked in every mode, and a PS
     run, which needs no cut, uses it only for FC-Data.
+
+    `experiment_config` builds one from layers of field values (a file's
+    keys, then flags), so these checks run once, on the merged values.
     """
     mode: str
     model: str
@@ -124,6 +127,9 @@ class ExperimentConfig:
         if self.data == "separable" and self.epoch_samples is None:
             raise ConfigError("separable data needs epoch_samples to size "
                               "the set")
+        if self.epochs and self.epoch_samples is None:
+            raise ConfigError("epochs need epoch_samples to fix the "
+                              "iteration count")
         if not 0 <= self.latency < math.inf:
             raise ConfigError("latency must be nonnegative and finite, got "
                               f"{self.latency}")
@@ -147,11 +153,12 @@ CONFIG_TYPES: dict[str, type] = {
     for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
-def parse_experiment_text(text: str) -> ExperimentConfig:
-    """Parse an experiment file: one `key value` pair per line.
+def parse_experiment_text(text: str) -> dict[str, object]:
+    """Parse an experiment file, one `key value` pair per line, to its
+    values by field name, each typed as its field.
 
     Keys are the ExperimentConfig field names; `experiment <label>` is an
-    accepted alias for `label`. mode, model, and seed are required.
+    accepted alias for `label`. No key may be given twice.
     """
     values: dict[str, object] = {}
     for key, args in parse_kv_text(text):
@@ -159,6 +166,8 @@ def parse_experiment_text(text: str) -> ExperimentConfig:
             key = "label"
         if key not in CONFIG_TYPES:
             raise ConfigError(f"unknown experiment key {key!r}")
+        if key in values:
+            raise ConfigError("give 'experiment' or 'label', not both")
         if len(args) != 1:
             raise ConfigError(f"bad {key} line: expected one value, "
                               f"got {args!r}")
@@ -166,15 +175,22 @@ def parse_experiment_text(text: str) -> ExperimentConfig:
             values[key] = CONFIG_TYPES[key](args[0])
         except ValueError:
             raise ConfigError(f"bad {key} value {args[0]!r}") from None
-    for required in ("mode", "model", "seed"):
-        if required not in values:
-            raise ConfigError(f"experiment file is missing {required!r}")
-    return ExperimentConfig(**values)
+    return values
 
 
-def load_experiment_file(path) -> ExperimentConfig:
+def load_experiment_file(path) -> dict[str, object]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_experiment_text(fh.read())
+
+
+def experiment_config(*layers: dict) -> ExperimentConfig:
+    """The config from layers of field values, each laid over the one
+    before; mode, model, and seed are required of the merged values."""
+    values = {k: v for layer in layers for k, v in layer.items()}
+    for required in ("mode", "model", "seed"):
+        if required not in values:
+            raise ConfigError(f"no {required} given, in a file or by flag")
+    return ExperimentConfig(**values)
 
 
 # -- synthetic data ----------------------------------------------------------
@@ -363,13 +379,11 @@ def _split_counts(config: ExperimentConfig, spec: ModelSpec) -> tuple[int, int]:
 def _iteration_count(config: ExperimentConfig, global_batch: int) -> int:
     if config.iterations:
         return config.iterations
-    per_epoch = _iterations_per_epoch(config.epoch_samples, global_batch)
-    return config.epochs * per_epoch
+    return config.epochs * _iterations_per_epoch(config.epoch_samples,
+                                                 global_batch)
 
 
-def _iterations_per_epoch(epoch_samples: int | None, global_batch: int) -> int:
-    if epoch_samples is None:
-        raise ConfigError("epoch accounting needs epoch_samples")
+def _iterations_per_epoch(epoch_samples: int, global_batch: int) -> int:
     per = epoch_samples // global_batch
     if per < 1:
         raise ConfigError(f"epoch_samples={epoch_samples} is smaller than "

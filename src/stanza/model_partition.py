@@ -222,14 +222,18 @@ _LAYER_KINDS = {"conv": (5, Conv2d), "maxpool": (2, MaxPool2d),
 
 
 def parse_kv_text(text: str) -> list[tuple[str, list[str]]]:
-    """Shared line grammar: `key value...` pairs, '#' comments, blank lines ok."""
+    """Shared line grammar: `key value...` pairs, '#' comments, blank lines ok.
+    Only `layer` may be given more than once."""
     rows = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        rows.append((parts[0].lower(), parts[1:]))
+        key = parts[0].lower()
+        if key != "layer" and any(key == seen for seen, _ in rows):
+            raise ConfigError(f"{key!r} is given twice")
+        rows.append((key, parts[1:]))
     return rows
 
 

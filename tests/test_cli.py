@@ -133,6 +133,16 @@ class TestRunCommand:
                               "--iterations", "1", "--workers", "2"], capsys)
         assert code == 0
         assert seeds == [(123, 123)]
+        # over both files' seeds and --seed alike
+        shared = "model tiny_cnn\nseed 4\niterations 1\nworkers 2\n"
+        ps, st = tmp_path / "ps.experiment", tmp_path / "st.experiment"
+        ps.write_text(f"mode ps\n{shared}")
+        st.write_text(f"mode stanza\n{shared}")
+        for flags in ([], ["--seed", "1"]):
+            code, _, _ = run_cli(["compare", "--config-ps", str(ps),
+                                  "--config-stanza", str(st)] + flags, capsys)
+            assert code == 0
+        assert seeds == [(123, 123)] * 3
 
     def test_bad_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("STANZA_SEED", "lucky")
@@ -466,6 +476,88 @@ class TestCompareCommand:
                                 "--config-stanza", str(st)], capsys)
         assert code == 2
         assert "bandwidth" in err
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestConfigLayers:
+    """Every run and compare config is the experiment file's keys (or a
+    fixed compare mode without one), then the flags given, then
+    STANZA_SEED, checked once. Each hash is the stdout of the same config
+    given by flags alone."""
+
+    ONE_NODE = "mode stanza\nmodel tiny_cnn\nseed 1\n"
+
+    def test_compare_flags_override_both_files(self, tmp_path, capsys):
+        """Pinned to `compare --model vgg16 --seed 1 --iterations 1
+        --bandwidth 1e6 --coordinators 3 --workers 4`."""
+        shared = "model alexnet\nseed 1\niterations 1\nworkers 2\n" \
+                 "coordinators 1\n"
+        ps, st = tmp_path / "ps.experiment", tmp_path / "st.experiment"
+        ps.write_text(f"mode ps\n{shared}")
+        st.write_text(f"mode stanza\n{shared}")
+        code, out, _ = run_cli(["compare", "--config-ps", str(ps),
+                                "--config-stanza", str(st), "--model", "vgg16",
+                                "--bandwidth", "1e6", "--coordinators", "3",
+                                "--workers", "4"], capsys)
+        assert code == 0
+        assert out.startswith("vgg16, batch 64, 1 iterations\n")
+        assert sha256(out) == (
+            "6e191a011d99da44b3c8733fb01fc25430ac62143631b9309516fc93862d5489"
+        ), out
+
+    def test_flag_completes_the_file(self, tmp_path, capsys):
+        """Pinned to `run --mode stanza --model tiny_cnn --seed 1
+        --iterations 2`; the file alone gives no iteration count."""
+        cfg = tmp_path / "f.experiment"
+        cfg.write_text(self.ONE_NODE)
+        assert run_cli(["run", "--config", str(cfg)], capsys)[0] == 2
+        code, out, _ = run_cli(["run", "--config", str(cfg),
+                                "--iterations", "2"], capsys)
+        assert code == 0
+        assert sha256(out) == (
+            "af89815a2d39604706a5b83221e601fc9d9308f248bb6e4b1a7fd01a45cc6af9"
+        ), out
+
+    def test_flag_sizes_a_separable_file(self, tmp_path, capsys):
+        """Pinned to the same run with `--data separable --epoch-samples
+        64`."""
+        cfg = tmp_path / "sep.experiment"
+        cfg.write_text(self.ONE_NODE + "iterations 2\ndata separable\n")
+        code, out, _ = run_cli(["run", "--config", str(cfg),
+                                "--epoch-samples", "64"], capsys)
+        assert code == 0
+        assert sha256(out) == (
+            "d85329b548df7d58a63e722f5502e343b3e017acb4b36c4133102bee188b91c5"
+        ), out
+
+    def test_readme_experiment_file(self, tmp_path, capsys):
+        """README's experiment file runs, pinned to the same config given by
+        flags with `--iterations 2`."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md"
+                  ).read_text(encoding="utf-8")
+        section = readme.split("## Experiment files", 1)[1]
+        block = section.split("```\n", 2)[1]
+        assert block.startswith("experiment nightly\n")
+        cfg = tmp_path / "nightly.experiment"
+        cfg.write_text(block)
+        code, out, _ = run_cli(["run", "--config", str(cfg),
+                                "--iterations", "2"], capsys)
+        assert code == 0
+        assert "on 4+1 nodes" in out
+        assert sha256(out) == (
+            "7410d3e22c6ead233a5c0c8c80b3be57b655b08acf1a4f35606054f24f2d31e6"
+        ), out
+
+    def test_key_given_twice_exits_2(self, tmp_path, capsys,
+                                     training_calls):
+        cfg = tmp_path / "f.experiment"
+        cfg.write_text(self.ONE_NODE + "iterations 2\nseed 2\n")
+        code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+        assert (code, training_calls, out) == (2, [], "")
+        assert "'seed' is given twice" in err
 
 
 class TestPlanCommand:

@@ -9,7 +9,8 @@ from stanza.harness import (CompareReport, ExperimentConfig, MismatchedConfigs,
                             NonFinite, RunReport, _exact_div,
                             _iteration_seconds, bench_constants, class_count,
                             compare, dataset_batches, execute,
-                            gaussian_batches, load_experiment_file,
+                            experiment_config, gaussian_batches,
+                            load_experiment_file,
                             parse_experiment_text, resolve_model, run,
                             separable_dataset, write_report_files)
 from stanza.model_partition import (ConfigError, NoFcLayer, NotExecutable,
@@ -82,15 +83,46 @@ class TestConfigParsing:
             "lr 0.01\n")
 
     def test_parses_fields(self):
-        cfg = parse_experiment_text(self.TEXT)
-        assert cfg.label == "nightly"
-        assert (cfg.mode, cfg.model, cfg.seed) == ("stanza", "tiny_cnn", 11)
-        assert (cfg.workers, cfg.coordinators) == (3, 1)
-        assert cfg.bandwidth == 1e9 and cfg.lr == 0.01
+        """The file's keys, each typed as its field, build the config."""
+        values = parse_experiment_text(self.TEXT)
+        assert values == dict(label="nightly", mode="stanza", model="tiny_cnn",
+                              seed=11, iterations=4, workers=3,
+                              coordinators=1, bandwidth=1e9, lr=0.01)
+        cfg = experiment_config(values)
+        assert cfg == ExperimentConfig(**values)
+        assert cfg.label == "nightly" and cfg.bandwidth == 1e9
 
     def test_missing_required_key(self):
-        with pytest.raises(ConfigError):
-            parse_experiment_text("mode ps\nmodel tiny_cnn\niterations 1\n")
+        """mode, model and seed are required of the merged layers, not of
+        the file: a later layer may complete it."""
+        values = parse_experiment_text("mode ps\nmodel tiny_cnn\n"
+                                       "iterations 1\n")
+        with pytest.raises(ConfigError, match="no seed given"):
+            experiment_config(values)
+        assert experiment_config(values, {"seed": 3}).seed == 3
+
+    def test_later_layers_win(self):
+        cfg = experiment_config({"mode": "ps", "model": "tiny_cnn",
+                                 "seed": 1, "iterations": 1},
+                                {"seed": 2, "workers": 4}, {"seed": 5})
+        assert (cfg.seed, cfg.workers, cfg.iterations) == (5, 4, 1)
+
+    def test_checks_only_the_merged_values(self):
+        """A replaced value's range is not checked; the merged one is."""
+        base = {"mode": "ps", "model": "tiny_cnn", "seed": -1}
+        assert experiment_config(base, {"seed": 0, "iterations": 1}).seed == 0
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            experiment_config(base, {"iterations": 1})
+
+    @pytest.mark.parametrize("text,error", [
+        ("seed 1\nseed 2\n", "'seed' is given twice"),
+        ("experiment a\nlabel b\n", "give 'experiment' or 'label'"),
+        ("label a\nexperiment b\n", "give 'experiment' or 'label'"),
+    ])
+    def test_key_given_twice(self, text, error):
+        with pytest.raises(ConfigError, match=error):
+            parse_experiment_text("mode ps\nmodel tiny_cnn\niterations 1\n"
+                                  + text)
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown experiment key 'turbo'"):

@@ -238,6 +238,9 @@ class TestTextFormat:
         ("name x\nbatch_k 4\nwhat 1", "unknown key"),
         ("name x\nbatch_k 4\nparams_total 10\nparams_conv 5", "missing"),
         ("name x\nbatch_k 4\nparams_total ten\nparams_conv 5", "bad arguments"),
+        # only `layer` lines may repeat
+        ("name x\nbatch_k 4\ninput 4\nbatch_k 8\nlayer fc 4 2",
+         "'batch_k' is given twice"),
     ])
     def test_config_errors(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment):

@@ -519,6 +519,10 @@ class TestConstantsFile:
         with pytest.raises(ConfigError):
             parse_constants_text("conv_time 1 2\n")
 
+    def test_key_given_twice_rejected(self):
+        with pytest.raises(ConfigError, match="'bandwidth' is given twice"):
+            parse_constants_text("bandwidth 1e9\nbandwidth 2e9\n")
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "host.constants"
         path.write_text(format_constants_text(v100_class_constants(),
