@@ -631,8 +631,8 @@ def compare(ps_config: ExperimentConfig, stanza_config: ExperimentConfig,
     if worker_counts is None:
         pairs = [(ps_config, stanza_config)]
     else:
-        pairs = [(dataclasses.replace(ps_config, workers=n, nodes=None),
-                  dataclasses.replace(stanza_config, workers=n, nodes=None))
+        pairs = [(dataclasses.replace(ps_config, workers=n),
+                  dataclasses.replace(stanza_config, workers=n))
                  for n in worker_counts]
     # every pair is checked before the first one trains
     for cfg_ps, cfg_st in pairs:

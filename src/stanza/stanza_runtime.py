@@ -23,20 +23,18 @@ runs ship none.
 
 from __future__ import annotations
 
-import random
 from itertools import accumulate
 
 import numpy as np
 
-from .checkpointing import (TrainResult, TrainState, start_state,
-                            state_to_bytes)
+from .checkpointing import TrainResult, TrainState, start_state
 from .collectives import Group, allreduce_steps, exchange
 from .model_partition import ConfigError, ModelSpec, Partition, split
 from .ps_runtime import equal_split
 from .tensor_core import (OptimizerState, block_backward, block_forward,
                           pack_vector, sgd_step, unpack_vector)
-from .transport import (Message, NetConfig, NodeId, Role, SimTransport, Tag,
-                        Transfer, charge_plan)
+from .transport import (NetConfig, NodeId, Role, SimTransport, Tag, Transfer,
+                        charge_plan)
 
 
 def check_stanza_shape(n_conv: int, n_fc: int) -> None:
@@ -110,7 +108,6 @@ class StanzaCluster:
         self.layers = spec.require_layers()
         self.partition: Partition = split(spec, boundary)
         self.batch_fn = batch_fn
-        self.seed = seed
         self.n_conv = n_conv
         self.served = served_by(n_conv, n_fc)
         self.plan = stanza_plan(self.served, self.partition, spec.batch_k,
@@ -140,7 +137,6 @@ class StanzaCluster:
             lr=lr, momentum=momentum,
             velocity=copy_block(start.velocities, cut, len(self.layers)))
             for f in self.fc_ids}
-        self.replica_snapshots: dict[NodeId, bytes] = {}
 
     # -- state ------------------------------------------------------------
 
@@ -156,27 +152,7 @@ class StanzaCluster:
                           velocities=velocities)
 
     def checkpoint(self) -> TrainState:
-        """Snapshot the run; the first FC worker also sends its block's state
-        to a seeded-random CONV worker so the heavyweight FC parameters exist
-        on two nodes. The replica blob is kept in replica_snapshots."""
-        f0 = self.fc_ids[0]
-        fc_state = TrainState(
-            iteration=self.iteration,
-            params=self.fc_params[f0],
-            velocities=self.fc_opt[f0].velocity,
-        )
-        blob = state_to_bytes(fc_state)
-        holder = self.conv_ids[
-            random.Random((self.seed << 32)
-                          ^ self.iteration).randrange(self.n_conv)]
-        tr = self.transport
-        with tr.phase("checkpoint"):
-            tr.send(Message(src=f0, dst=holder, tag=Tag.CHECKPOINT,
-                            payload_elements=(len(blob) + 3) // 4,
-                            payload=blob, iteration=self.iteration,
-                            op="checkpoint"))
-            msg = tr.take(holder, Tag.CHECKPOINT, f0, self.iteration)
-        self.replica_snapshots[holder] = msg.payload
+        """state(), under the name perfbench's numeric_wide calls and traces."""
         return self.state()
 
     # -- one iteration ------------------------------------------------------

@@ -77,7 +77,6 @@ class Tag(str, Enum):
     GRAD_PUSH = "GradPush"
     PARAM_PULL = "ParamPull"
     ALLREDUCE_CHUNK = "AllreduceChunk"
-    CHECKPOINT = "Checkpoint"
     CONTROL = "Control"
 
 

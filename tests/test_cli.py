@@ -433,6 +433,39 @@ class TestCompareCommand:
         assert (code, training_calls, out) == (2, [], "")
         assert "node budgets differ: 4 for ps vs 3 for stanza" in err
 
+    @staticmethod
+    def nodes_files(tmp_path):
+        shared = "model alexnet\nseed 1\niterations 1\nnodes 8\n"
+        ps = tmp_path / "ps.experiment"
+        st = tmp_path / "st.experiment"
+        ps.write_text(f"mode ps\n{shared}")
+        st.write_text(f"mode stanza\n{shared}")
+        return ["compare", "--config-ps", str(ps), "--config-stanza", str(st),
+                "--out", str(tmp_path)]
+
+    def test_worker_sweep_over_node_budget_files(self, tmp_path, capsys,
+                                                 training_calls):
+        """A `--workers` sweep gives explicit counts, so files that give
+        `nodes` are a configuration error, not silently a smaller budget."""
+        code, out, err = run_cli(self.nodes_files(tmp_path)
+                                 + ["--workers", "4"], capsys)
+        assert (code, training_calls, out) == (2, [], "")
+        assert "give nodes or explicit counts, not both" in err
+
+    def test_node_budget_files_train_on_their_budget(self, tmp_path, capsys,
+                                                     monkeypatch):
+        budgets = []
+        for name, workers, coordinators in (
+                ("ps_traffic", "n_workers", "n_servers"),
+                ("stanza_traffic", "n_conv", "n_fc")):
+            def counted(spec, fn=getattr(harness, name), a=workers,
+                        b=coordinators, **kw):
+                budgets.append(kw[a] + kw[b])
+                return fn(spec, **kw)
+            monkeypatch.setattr(harness, name, counted)
+        code, _, _ = run_cli(self.nodes_files(tmp_path), capsys)
+        assert (code, budgets) == (0, [8, 8])
+
     def test_one_coordinator_flag_for_both_sides(self, tmp_path, capsys):
         """`--coordinators` gives the PS servers and the FC workers alike."""
         code, _, _ = run_cli(["compare", "--model", "alexnet", "--seed", "1",

@@ -3,15 +3,23 @@
 Each case runs one protocol and pins two hashes of what it leaves behind.
 The ledger hash covers the ledger CSV and the ledger summary JSON: every
 message, phase load and clock. The numeric hash, for numeric runs only,
-covers the losses, the final parameter and velocity digests and, for stanza,
-the FC replica's holder and blob. A change to where bytes travel moves only
-ledger hashes; a change to arithmetic moves numeric hashes.
+covers the losses and the final parameter and velocity digests. A change to
+where bytes travel moves only ledger hashes; a change to arithmetic moves
+numeric hashes.
 
 When every parameter-server run came to shard the flat parameter vector into
 contiguous ranges, the 36 `ps/*` cases re-pinned their ledger hash, since a
 worker-server pair now moves one range per direction instead of one message
 per tensor. Their numeric hashes did not move: servers still add pushes
 elementwise in ascending worker order, and the momentum step is elementwise.
+
+Each stanza case checkpoints after its second iteration. When the first FC
+worker stopped sending its block to a CONV worker on a checkpoint, the 30
+`stanza/*` numeric cases re-pinned both hashes, and only for that reason:
+each ledger CSV lost its one `Checkpoint` row, each summary one phase and
+one message, and each numeric text the replica's holder and blob digest.
+The losses and both state digests did not move. The pins now also show
+that a checkpoint charges nothing to the ledger.
 Every case also runs with `threading.Thread.start` disabled: training and
 counting start no thread.
 """
@@ -72,16 +80,14 @@ def _run(case: str):
         losses = cluster.train(2).losses
         cluster.checkpoint()
         losses += cluster.train(1).losses
-        (holder, blob), = cluster.replica_snapshots.items()
-        extra = f"{holder} {hashlib.sha256(blob).hexdigest()}"
     else:
         cluster = PsCluster(spec, n_workers=n, n_servers=m,
                             compute_time=0.01, **kw)
         losses = cluster.train(3).losses
-        extra = ""
     state = cluster.state()
+    # the trailing space is part of the pinned text
     return cluster.transport, (f"{losses!r} {param_digest(state.params)} "
-                               f"{param_digest(state.velocities)} {extra}")
+                               f"{param_digest(state.velocities)} ")
 
 
 def case_digests(case: str, workdir) -> tuple[str, str | None]:
@@ -231,36 +237,36 @@ LEDGER = {
     "ps_traffic/vgg16/127+1": "6ee4df0f0e47d860",
     "ps_traffic/vgg16/127+2": "09e21e59785d9470",
     "ps_traffic/vgg16/127+3": "14ba0397ec1502c9",
-    "stanza/tiny_cnn/1+1": "c3f02b8edd2caf2d",
-    "stanza/tiny_cnn/2+1": "db7accd4fb6d131e",
-    "stanza/tiny_cnn/2+2": "b636ef90e8f5f549",
-    "stanza/tiny_cnn/3+1": "d4059cd798e4ddfb",
-    "stanza/tiny_cnn/3+2": "ffd1f2ed36140153",
-    "stanza/tiny_cnn/3+3": "ceae20650c61682a",
-    "stanza/tiny_cnn/5+1": "222e823140ecd73f",
-    "stanza/tiny_cnn/5+2": "4adbe3e82029e634",
-    "stanza/tiny_cnn/5+3": "716f77a9cf7ceea0",
-    "stanza/tiny_cnn/8+1": "17722c3609041057",
-    "stanza/tiny_cnn/8+2": "6d1e338d2ae634f2",
-    "stanza/tiny_cnn/8+3": "bf0e73b6975be342",
-    "stanza/tiny_cnn/13+1": "1b4e044f5258842a",
-    "stanza/tiny_cnn/13+2": "458841d58c03ac5c",
-    "stanza/tiny_cnn/13+3": "ba210754426938d1",
-    "stanza/tiny_mlp/1+1": "fde91a3e109db402",
-    "stanza/tiny_mlp/2+1": "c71a3a63970baca8",
-    "stanza/tiny_mlp/2+2": "04d07cfd63942b71",
-    "stanza/tiny_mlp/3+1": "8cd8a3a45ab2a9c7",
-    "stanza/tiny_mlp/3+2": "5d78466a5296c1b7",
-    "stanza/tiny_mlp/3+3": "778f8dfb5860e2b5",
-    "stanza/tiny_mlp/5+1": "b22793637df6eab1",
-    "stanza/tiny_mlp/5+2": "64882691298af4c0",
-    "stanza/tiny_mlp/5+3": "1cf4581402d86c4f",
-    "stanza/tiny_mlp/8+1": "236b9c9ce7cdd6e7",
-    "stanza/tiny_mlp/8+2": "57fe652059405f34",
-    "stanza/tiny_mlp/8+3": "1db89f3934d2d75d",
-    "stanza/tiny_mlp/13+1": "2d4bd813f1b76236",
-    "stanza/tiny_mlp/13+2": "baf325471c0511d4",
-    "stanza/tiny_mlp/13+3": "66f227e1f5f70f9f",
+    "stanza/tiny_cnn/1+1": "9a432eb1f00e5e5a",
+    "stanza/tiny_cnn/2+1": "2e034f6f950d0613",
+    "stanza/tiny_cnn/2+2": "236d983da6815264",
+    "stanza/tiny_cnn/3+1": "86ccb85335ae1a90",
+    "stanza/tiny_cnn/3+2": "5c7bae404462cfd2",
+    "stanza/tiny_cnn/3+3": "a21dec39058452b0",
+    "stanza/tiny_cnn/5+1": "6335768d4effc844",
+    "stanza/tiny_cnn/5+2": "02911192fbb7fee8",
+    "stanza/tiny_cnn/5+3": "af2e52563cecb025",
+    "stanza/tiny_cnn/8+1": "42af639962b4be63",
+    "stanza/tiny_cnn/8+2": "f63297959d104597",
+    "stanza/tiny_cnn/8+3": "0df02cae32958bb4",
+    "stanza/tiny_cnn/13+1": "95c64bf1b0dad710",
+    "stanza/tiny_cnn/13+2": "5e8e2c439b608dad",
+    "stanza/tiny_cnn/13+3": "3c26995b58096c4a",
+    "stanza/tiny_mlp/1+1": "fdc00ec145cdf242",
+    "stanza/tiny_mlp/2+1": "b35a22d6217ffadb",
+    "stanza/tiny_mlp/2+2": "9eaefadf61f0704f",
+    "stanza/tiny_mlp/3+1": "8ac2b5e5f0116d72",
+    "stanza/tiny_mlp/3+2": "a0fc5d8c0c41d6d1",
+    "stanza/tiny_mlp/3+3": "6beb939170663b03",
+    "stanza/tiny_mlp/5+1": "56ec78eef098b709",
+    "stanza/tiny_mlp/5+2": "4383071d41e5f8f4",
+    "stanza/tiny_mlp/5+3": "bb4dca3a9ba12e28",
+    "stanza/tiny_mlp/8+1": "8e9998291d84f54a",
+    "stanza/tiny_mlp/8+2": "34b51f9d3918fd96",
+    "stanza/tiny_mlp/8+3": "b150cacadaf9fab1",
+    "stanza/tiny_mlp/13+1": "442cb2c59af46332",
+    "stanza/tiny_mlp/13+2": "e570b6d3803ae02d",
+    "stanza/tiny_mlp/13+3": "081128cddbe43cce",
     "ps/tiny_cnn/1+1": "c409a73169ca8214",
     "ps/tiny_cnn/1+2": "281fa30c00e216d0",
     "ps/tiny_cnn/1+3": "2413ba63023cab58",
@@ -300,36 +306,36 @@ LEDGER = {
 }
 
 NUMERIC = {
-    "stanza/tiny_cnn/1+1": "8c2f43947a2dbccc",
-    "stanza/tiny_cnn/2+1": "cd788e7bb486c0f1",
-    "stanza/tiny_cnn/2+2": "54b2c6efa86e6a21",
-    "stanza/tiny_cnn/3+1": "e919aa199db8e45b",
-    "stanza/tiny_cnn/3+2": "b332ecbeabb2a242",
-    "stanza/tiny_cnn/3+3": "969e0711f5887778",
-    "stanza/tiny_cnn/5+1": "74f92c91b3ae236e",
-    "stanza/tiny_cnn/5+2": "7c6ed8c682a6541c",
-    "stanza/tiny_cnn/5+3": "7c8902fb3b0211fa",
-    "stanza/tiny_cnn/8+1": "d7c4515b76396915",
-    "stanza/tiny_cnn/8+2": "64cd43698a3648f8",
-    "stanza/tiny_cnn/8+3": "55feec67f2c74592",
-    "stanza/tiny_cnn/13+1": "b08789b56c1b4048",
-    "stanza/tiny_cnn/13+2": "73e84a6cc183c0d0",
-    "stanza/tiny_cnn/13+3": "1afe95d0f1eea6da",
-    "stanza/tiny_mlp/1+1": "71dec061b38dfcbd",
-    "stanza/tiny_mlp/2+1": "45bb15d99373c40e",
-    "stanza/tiny_mlp/2+2": "757a9653d6ad9a31",
-    "stanza/tiny_mlp/3+1": "bc4f4bf4c63a9979",
-    "stanza/tiny_mlp/3+2": "c2863313551d58b3",
-    "stanza/tiny_mlp/3+3": "25493abcd264e348",
-    "stanza/tiny_mlp/5+1": "0bbdaed0fcbb04fa",
-    "stanza/tiny_mlp/5+2": "4e3d410cb1097817",
-    "stanza/tiny_mlp/5+3": "8a2349f84caa0fda",
-    "stanza/tiny_mlp/8+1": "7bf6df9375ab6867",
-    "stanza/tiny_mlp/8+2": "988eb0e7822dd0c1",
-    "stanza/tiny_mlp/8+3": "d3e062cdb903a532",
-    "stanza/tiny_mlp/13+1": "f6ef09ace3f3abea",
-    "stanza/tiny_mlp/13+2": "6510d9e896989306",
-    "stanza/tiny_mlp/13+3": "06e27dcfc3b229f2",
+    "stanza/tiny_cnn/1+1": "e854dc604e9acfe5",
+    "stanza/tiny_cnn/2+1": "132914ecacbb07f9",
+    "stanza/tiny_cnn/2+2": "9265905480989100",
+    "stanza/tiny_cnn/3+1": "75b3d51f81625b96",
+    "stanza/tiny_cnn/3+2": "a823fe6ebeeeff2c",
+    "stanza/tiny_cnn/3+3": "64197aa8e5a3c14d",
+    "stanza/tiny_cnn/5+1": "b4d5f61a827904ff",
+    "stanza/tiny_cnn/5+2": "2572291b4940c027",
+    "stanza/tiny_cnn/5+3": "150123e6cc5a7226",
+    "stanza/tiny_cnn/8+1": "25fbea2b6be7f9b4",
+    "stanza/tiny_cnn/8+2": "f716562cebe0700e",
+    "stanza/tiny_cnn/8+3": "4ccc295f01cbdbf4",
+    "stanza/tiny_cnn/13+1": "4a8cfe6137a113e4",
+    "stanza/tiny_cnn/13+2": "8e1e74bca8f00125",
+    "stanza/tiny_cnn/13+3": "bbabc8777c26abe3",
+    "stanza/tiny_mlp/1+1": "ec3dc0b38f550eb9",
+    "stanza/tiny_mlp/2+1": "de148623c17bea47",
+    "stanza/tiny_mlp/2+2": "2257dfdeafb668ba",
+    "stanza/tiny_mlp/3+1": "5045e3dc7af4fbde",
+    "stanza/tiny_mlp/3+2": "b8775c9c3070b3ce",
+    "stanza/tiny_mlp/3+3": "308162a4f957d373",
+    "stanza/tiny_mlp/5+1": "62fcacc9ca3b866b",
+    "stanza/tiny_mlp/5+2": "ea0a16dabfc3d6a1",
+    "stanza/tiny_mlp/5+3": "e3870f0ca01441f0",
+    "stanza/tiny_mlp/8+1": "bf58731b815c351d",
+    "stanza/tiny_mlp/8+2": "b6e607d86c5bdc94",
+    "stanza/tiny_mlp/8+3": "9307acb4f0f9e269",
+    "stanza/tiny_mlp/13+1": "7fed4afd0e1d5589",
+    "stanza/tiny_mlp/13+2": "2bd8f0e1680a1afc",
+    "stanza/tiny_mlp/13+3": "20803504642a8622",
     "ps/tiny_cnn/1+1": "e854dc604e9acfe5",
     "ps/tiny_cnn/1+2": "e854dc604e9acfe5",
     "ps/tiny_cnn/1+3": "e854dc604e9acfe5",

@@ -1,18 +1,21 @@
 """Layer-separated protocol against the reference trainer and the PS runtime."""
 
+import dataclasses
+import struct
 import time
 
 import numpy as np
 import pytest
 
 from stanza import stanza_runtime
-from stanza.checkpointing import param_digest, state_from_bytes
+from stanza.checkpointing import (param_digest, state_from_bytes,
+                                  state_to_bytes)
 from stanza.model_partition import (ConfigError, builtin_model, tiny_cnn,
                                     tiny_mlp)
 from stanza.ps_runtime import PsCluster
 from stanza.stanza_runtime import StanzaCluster, served_by, stanza_traffic
 from stanza.tensor_core import CorruptCheckpoint, ShapeMismatch
-from stanza.transport import (ClusterShutDown, MissingSource, NetConfig, Role,
+from stanza.transport import (ClusterShutDown, MissingSource, NetConfig,
                               SimTransport, Tag)
 
 from trainers import (LR, MU, make_batch_fn, max_param_dev, reference_train)
@@ -184,30 +187,41 @@ class TestCheckpointing:
         with pytest.raises(ShapeMismatch):
             make_cluster(spec, 1, 1, state=state)
 
-    def test_fc_block_replicated_to_seeded_conv_worker(self):
-        spec = tiny_cnn()
-        cluster = make_cluster(spec, 3, 1, seed=12)
+    def test_checkpoint_moves_nothing(self):
+        cluster = make_cluster(tiny_cnn(), 3, 1, seed=12)
         cluster.train(2)
-        cluster.checkpoint()
-        (holder, blob), = cluster.replica_snapshots.items()
-        assert holder.role is Role.CONV_WORKER
-        replica = state_from_bytes(blob)
-        assert replica.iteration == 2
-        f0 = cluster.fc_ids[0]
-        assert param_digest(replica.params) == \
-            param_digest(cluster.fc_params[f0])
         ledger = cluster.transport.ledger
-        assert ledger.tag_messages[Tag.CHECKPOINT] == 1
-        assert ledger.tag_payload_bytes[Tag.CHECKPOINT] == len(blob)
 
-    def test_corrupt_replica_rejected(self):
-        spec = tiny_cnn()
-        cluster = make_cluster(spec, 2, 1)
+        def traffic():
+            return (len(ledger.phases), len(ledger.messages),
+                    ledger.logical_clock, ledger.total_sent)
+
+        before = traffic()
+        state = cluster.checkpoint()
+        assert traffic() == before
+        want = cluster.state()
+        assert state.iteration == want.iteration == 2
+        assert (param_digest(state.params), param_digest(state.velocities)) \
+            == (param_digest(want.params), param_digest(want.velocities))
+
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda blob, _: b"JUNK" + blob[4:], "not a training-state snapshot"),
+        (lambda blob, _: blob[:4] + struct.pack("<H", 2) + blob[6:],
+         "unsupported snapshot version 2"),
+        (lambda blob, _: blob[:-8], "length does not match header"),
+        (lambda _, state: state_to_bytes(dataclasses.replace(
+            state, velocities=state.velocities[:-1])),
+         "parameter/velocity structure mismatch"),
+    ], ids=["magic", "version", "length", "structure"])
+    def test_corrupt_snapshot_rejected(self, corrupt, error):
+        cluster = make_cluster(tiny_cnn(), 2, 1)
         cluster.train(1)
-        cluster.checkpoint()
-        (_, blob), = cluster.replica_snapshots.items()
-        with pytest.raises(CorruptCheckpoint):
-            state_from_bytes(blob[:-8])
+        state = cluster.checkpoint()
+        blob = state_to_bytes(state)
+        assert param_digest(state_from_bytes(blob).params) == \
+            param_digest(state.params)
+        with pytest.raises(CorruptCheckpoint, match=error):
+            state_from_bytes(corrupt(blob, state))
 
 
 class TestMissingSource:
